@@ -11,6 +11,8 @@ def atomic_write_bytes(path, blob):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -15,5 +15,9 @@ def draw_spins(phi, u):
     u = np.asarray(u, dtype=np.float64)
     if phi.shape != u.shape:
         raise ValueError(f"shape mismatch: phi {phi.shape} vs u {u.shape}")
-    p_plus = 1.0 / (1.0 + np.exp(-2.0 * phi))
-    return np.where(u < p_plus, 1, -1).astype(np.int8)
+    # sigma(2 phi) = 1 / (1 + exp(-2 phi)), computed in one buffer
+    p_plus = np.multiply(phi, -2.0, out=np.empty(phi.shape))
+    np.exp(p_plus, out=p_plus)
+    p_plus += 1.0
+    np.divide(1.0, p_plus, out=p_plus)
+    return np.where(u < p_plus, np.int8(1), np.int8(-1))

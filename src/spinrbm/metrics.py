@@ -28,11 +28,11 @@ class MetricsRecord:
 def _mean_cross_distance(x, y):
     """Mean Euclidean distance over all ordered pairs (V-statistic form:
     within-batch calls include the zero i=j terms)."""
-    x = x.astype(np.float64)
-    y = y.astype(np.float64)
     n_v = x.shape[1]
-    # for spins, ||a - b||^2 = 2 (n_v - a.b); exact in float64
-    sq = 2.0 * (n_v - x @ y.T)
+    # a.b of spin rows is an integer of magnitude <= n_v < 2^24, so the
+    # float32 gemm is exact; ||a - b||^2 = 2 (n_v - a.b) is formed in float64
+    dots = x.astype(np.float32) @ y.astype(np.float32).T
+    sq = 2.0 * (n_v - dots.astype(np.float64))
     np.maximum(sq, 0.0, out=sq)
     return float(np.sqrt(sq).mean())
 

@@ -169,13 +169,15 @@ def exact_visible_marginal(model):
 
 
 def _phase_moments(v_batch, weights, model):
-    """Weighted phase statistics (<v>, <(v-mu) tanh(phi)^T>) for one phase."""
-    vf = v_batch.astype(np.float64)
-    vc = vf - model.mu
-    t = np.tanh(vc @ model.W)
-    mean_v = weights @ vf
-    mean_outer = (vc * weights[:, None]).T @ t
-    return mean_v, mean_outer
+    """Weighted statistics (sum w v, sum w (v-mu) tanh(phi)^T) over the rows."""
+    vc = v_batch.astype(np.float64)
+    mean_v = weights @ vc
+    vc -= model.mu
+    t = vc @ model.W
+    np.tanh(t, out=t)
+    # weight the (usually narrower) hidden side: rows x n_h, not rows x n_v
+    t *= weights[:, None]
+    return mean_v, vc.T @ t
 
 
 def nll_gradient(model, data_batch, model_batch):
@@ -189,11 +191,12 @@ def nll_gradient(model, data_batch, model_batch):
     model_batch = np.atleast_2d(check_spins(model_batch, model.n_v, "model_batch"))
     if data_batch.shape[0] == 0 or model_batch.shape[0] == 0:
         raise ValueError("empty batch")
-    w_d = np.full(data_batch.shape[0], 1.0 / data_batch.shape[0])
-    w_m = np.full(model_batch.shape[0], 1.0 / model_batch.shape[0])
-    v_d, o_d = _phase_moments(data_batch, w_d, model)
-    v_m, o_m = _phase_moments(model_batch, w_m, model)
-    return GradientPair(d_b=v_m - v_d, d_W=o_m - o_d)
+    n_d, n_m = data_batch.shape[0], model_batch.shape[0]
+    # one pass over both phases: data rows weigh -1/n_d, model rows +1/n_m
+    weights = np.concatenate([np.full(n_d, -1.0 / n_d), np.full(n_m, 1.0 / n_m)])
+    d_b, d_W = _phase_moments(np.concatenate([data_batch, model_batch]),
+                              weights, model)
+    return GradientPair(d_b=d_b, d_W=d_W)
 
 
 def exact_nll_gradient(model, data_batch):

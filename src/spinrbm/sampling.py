@@ -61,10 +61,13 @@ def gibbs_steps(model, v0, k, rng):
 
 
 def sample_phi(model, stats, batch, rng):
-    """Draw hidden fields phi = W^T Q z, z ~ N(0, I), one row per sample.
+    """Draw hidden fields phi ~ N(0, W^T Sigma W), one row per sample.
 
-    The implied law is N(0, W^T Sigma W) since Q Q^T = Sigma; the product
-    W^T Sigma W is never formed.
+    With A = Q^T W the covariance is C = A^T A = W^T Sigma W (Q Q^T = Sigma),
+    an n_h x n_h matrix; phi = z L^T with z ~ N(0, I_{n_h}) and L L^T = C.
+    L is the Cholesky factor, or V sqrt(max(lambda, 0)) from the
+    eigendecomposition when C is singular (zero weights, a zero-width Q,
+    or n_h > rank Sigma).
     """
     if stats is None or stats.Q is None:
         raise ValueError("data statistics with a covariance factor Q required")
@@ -72,14 +75,21 @@ def sample_phi(model, stats, batch, rng):
     if Q.shape[0] != model.n_v:
         raise ValueError(
             f"Q rows {Q.shape[0]} do not match model n_v {model.n_v}")
-    z = rng.standard_normal((batch, Q.shape[1]))
-    return (z @ Q.T) @ model.W
+    A = Q.T @ model.W
+    C = A.T @ A
+    try:
+        L = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(C)
+        L = V * np.sqrt(np.maximum(lam, 0.0))
+    z = rng.standard_normal((batch, model.n_h))
+    return z @ L.T
 
 
 def belief_generate(model, stats, batch, rng, refine_k=0):
     """Approximate model samples in one backward pass.
 
-    Step 1: phi ~ N(0, W^T Sigma W) via the stored square root Q.
+    Step 1: phi ~ N(0, W^T Sigma W), drawn in n_h dimensions.
     Step 2: h_i = +1 w.p. sigma(2 phi_i).
     Step 3: v ~ p(v|h).
     Then refine_k optional Gibbs sweeps (0 during CD-0 training).

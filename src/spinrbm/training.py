@@ -6,6 +6,7 @@ refinement.  A conventional CD-k-from-data mode is kept as a baseline.
 """
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -185,9 +186,15 @@ def _pack_array(arr):
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
+def _unpack(fmt, buf, offset):
+    end = offset + struct.calcsize(fmt)
+    if end > len(buf):
+        raise ValueError(f"checkpoint truncated at offset {offset}")
+    return struct.unpack_from(fmt, buf, offset), end
+
+
 def _unpack_array(buf, offset, shape):
-    count = int(np.prod(shape)) if shape else 1
-    end = offset + 8 * count
+    end = offset + 8 * math.prod(shape)
     if end > len(buf):
         raise ValueError(f"checkpoint truncated at offset {offset}")
     arr = np.frombuffer(buf[offset:end], dtype="<f8").reshape(shape).copy()
@@ -221,34 +228,56 @@ def save_checkpoint(model, adam_state, config, stats, path):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (model, adam_state, config, stats)."""
-    from .data import DataStats
+    """Inverse of save_checkpoint; returns (model, adam_state, config, stats).
 
+    Every malformed input raises ValueError naming the file, and the byte
+    offset or config key at fault.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
+    try:
+        return _parse_checkpoint(buf)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_checkpoint(buf):
+    from .data import DataStats
+
     if buf[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {buf[:4]!r}")
-    version, n_v, n_h, r = struct.unpack_from("<IIII", buf, 4)
+        raise ValueError(f"bad checkpoint magic {buf[:4]!r}")
+    (version, n_v, n_h, r), off = _unpack("<IIII", buf, 4)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 20
+        raise ValueError(f"unsupported checkpoint version {version}")
     b, off = _unpack_array(buf, off, (n_v,))
     W, off = _unpack_array(buf, off, (n_v, n_h))
     mu, off = _unpack_array(buf, off, (n_v,))
     Q, off = _unpack_array(buf, off, (n_v, r))
-    t, beta1, beta2, eps = struct.unpack_from("<Qddd", buf, off)
-    off += 32
+    (t, beta1, beta2, eps), off = _unpack("<Qddd", buf, off)
     m_b, off = _unpack_array(buf, off, (n_v,))
     m_W, off = _unpack_array(buf, off, (n_v, n_h))
     v_b, off = _unpack_array(buf, off, (n_v,))
     v_W, off = _unpack_array(buf, off, (n_v, n_h))
-    (json_len,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    (json_len,), off = _unpack("<I", buf, off)
     if off + json_len != len(buf):
-        raise ValueError(f"{path}: config block size mismatch at offset {off}")
-    config = TrainConfig(**json.loads(buf[off:off + json_len].decode()))
+        raise ValueError(f"config block size mismatch at offset {off}")
+    config = _parse_config(buf[off:off + json_len])
     model = RbmModel(W=W, b=b, mu=mu)
     adam = AdamState(m_b=m_b, m_W=m_W, v_b=v_b, v_W=v_W, t=t,
                      beta1=beta1, beta2=beta2, eps=eps)
     stats = DataStats(mu=mu, Q=Q)
     return model, adam, config, stats
+
+
+def _parse_config(blob):
+    fields = json.loads(blob.decode())
+    if not isinstance(fields, dict):
+        raise ValueError("checkpoint config is not a JSON object")
+    known = TrainConfig.__dataclass_fields__
+    for key in fields:
+        if key not in known:
+            raise ValueError(f"unknown checkpoint config key {key!r}")
+    try:
+        return TrainConfig(**fields)
+    except TypeError as exc:  # a value of the wrong type
+        raise ValueError(f"bad checkpoint config: {exc}") from exc

@@ -2,6 +2,7 @@
 oracles kept deliberately independent of the library code paths."""
 
 import itertools
+import json
 import math
 import struct
 
@@ -60,6 +61,16 @@ def brute_hidden_mean(model, v):
         num += w * np.array(h)
         den += w
     return num / den
+
+
+# --- checkpoint bytes ---
+
+def with_config(blob, config, fields):
+    """Checkpoint bytes whose trailing config block is replaced by fields."""
+    old = json.dumps(config.__dict__, sort_keys=True).encode()
+    assert blob.endswith(old)
+    new = json.dumps(fields).encode()
+    return blob[:-len(old) - 4] + struct.pack("<I", len(new)) + new
 
 
 # --- synthetic IDX data ---

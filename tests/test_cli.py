@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import random_model, with_config
 from spinrbm.cli import main
+from spinrbm.data import DataStats
 from spinrbm.images import read_pgm
+from spinrbm.training import AdamState, TrainConfig, save_checkpoint
 
 TRAIN_FLAGS = ["--n-hidden", "32", "--epochs", "2", "--batch-size", "128",
                "--eval-batch", "128"]
@@ -93,6 +97,26 @@ class TestSample:
         bad.write_bytes(b"nope")
         assert main(["sample", "--checkpoint", str(bad),
                      "--out", str(tmp_path / "o.pgm")]) != 0
+
+    def test_malformed_checkpoint_error_line(self, tmp_path, capsys):
+        model = random_model(np.random.default_rng(0), 4, 3)
+        config = TrainConfig(n_hidden=3)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, AdamState.zeros(4, 3), config,
+                        DataStats(mu=model.mu, Q=np.eye(4)), path)
+        blob = path.read_bytes()
+        truncated = tmp_path / "truncated.rbm"
+        truncated.write_bytes(blob[:30])
+        unknown = tmp_path / "unknown.rbm"
+        unknown.write_bytes(with_config(blob, config,
+                                        {**config.__dict__, "bogus": 1}))
+        for bad, reason in ((truncated, "offset 20"), (unknown, "'bogus'")):
+            code = main(["sample", "--checkpoint", str(bad),
+                         "--out", str(tmp_path / "o.pgm")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error: ") and reason in err
+            assert "Traceback" not in err
 
 
 class TestReconstruct:

@@ -27,6 +27,21 @@ def test_backends_agree():
                           np.atleast_2d(draw_spins_python(phi, u)))
 
 
+def test_matches_logistic_reference_exactly():
+    # the kernel's in-place arithmetic must equal the plain expression bit
+    # for bit, also where exp(-2 phi) overflows (phi = -400) or vanishes
+    gen = np.random.default_rng(1)
+    phi = gen.normal(0, 3, (300, 40))
+    phi[:, :4] = [400.0, -400.0, 0.0, -0.0]
+    u = gen.random(phi.shape)
+    with np.errstate(over="ignore"):
+        ref = np.where(u < 1 / (1 + np.exp(-2 * phi)), 1, -1)
+        for fn in (draw_spins, draw_spins_python):
+            out = np.atleast_2d(fn(phi, u))
+            assert out.dtype == np.int8
+            assert np.array_equal(out, ref)
+
+
 def test_shape_mismatch_rejected():
     for fn in (draw_spins, draw_spins_python):
         with pytest.raises(ValueError):

@@ -27,7 +27,30 @@ def brute_coefficient(x, y):
             - mean_dist(y.astype(float), y.astype(float))) / (2 * d_xy)
 
 
+def float64_coefficient(x, y):
+    """The float64 all-pairs formula, with the same operation order as the
+    library, for bit-for-bit comparison."""
+    def mean_dist(a, b):
+        a, b = a.astype(np.float64), b.astype(np.float64)
+        sq = 2.0 * (a.shape[1] - a @ b.T)
+        np.maximum(sq, 0.0, out=sq)
+        return float(np.sqrt(sq).mean())
+
+    d_xy = mean_dist(x, y)
+    if d_xy == 0.0:
+        return 0.0
+    return (2.0 * d_xy - mean_dist(x, x) - mean_dist(y, y)) / (2.0 * d_xy)
+
+
 class TestEnergyCoefficient:
+    def test_bit_identical_to_float64(self):
+        gen = np.random.default_rng(8)
+        for n_x, n_y, n_v, p in ((64, 64, 784, 0.3), (33, 70, 100, 0.5),
+                                 (200, 150, 784, 0.1), (5, 9, 1, 0.5)):
+            x = np.where(gen.random((n_x, n_v)) < p, 1, -1).astype(np.int8)
+            y = np.where(gen.random((n_y, n_v)) < 0.5, 1, -1).astype(np.int8)
+            assert energy_coefficient(x, y) == float64_coefficient(x, y)
+
     def test_identical_batches_zero(self, rng):
         x = random_spins(rng, (20, 6))
         assert energy_coefficient(x, x) == pytest.approx(0.0, abs=1e-12)

@@ -154,6 +154,24 @@ class TestGradient:
         g = nll_gradient(m, data, neg)
         assert g.d_b == pytest.approx(-2 * np.ones(4))
 
+    def test_matches_two_phase_reference(self):
+        # one weighted pass over both phases equals model-phase mean minus
+        # data-phase mean computed separately
+        gen = np.random.default_rng(4)
+        for n_v, n_h, n_d, n_m in ((784, 128, 256, 256), (20, 7, 9, 31)):
+            m = random_model(gen, n_v, n_h, scale=0.1, centered=False)
+            data = random_spins(gen, (n_d, n_v))
+            neg = random_spins(gen, (n_m, n_v))
+
+            def phase(v):
+                vc = v - m.mu
+                return v.mean(axis=0), vc.T @ np.tanh(vc @ m.W) / v.shape[0]
+
+            (b_d, W_d), (b_m, W_m) = phase(data), phase(neg)
+            g = nll_gradient(m, data, neg)
+            assert np.abs(g.d_b - (b_m - b_d)).max() < 1e-12
+            assert np.abs(g.d_W - (W_m - W_d)).max() < 1e-12
+
     def test_empty_batch_rejected(self, rng):
         m = random_model(rng, 4, 2)
         with pytest.raises(ValueError):

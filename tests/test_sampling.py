@@ -130,6 +130,24 @@ class TestSamplePhi:
         var = (np.outer(np.diag(target), np.diag(target)) + target ** 2) / n
         assert np.all(np.abs(emp - target) < 5 * np.sqrt(var) + 1e-12)
 
+    def test_covariance_law_rank_deficient(self):
+        # data from 3 patterns: rank Sigma = 2 < n_h = 5, so W^T Sigma W is
+        # singular and its factor comes from the eigendecomposition
+        gen = np.random.default_rng(21)
+        m = random_model(gen, 6, 5)
+        patterns = random_spins(gen, (3, 6))
+        stats = compute_stats(Dataset(spins=patterns[gen.integers(0, 3, 300)]))
+        assert stats.Q.shape[1] == 2
+        target = m.W.T @ (stats.Q @ stats.Q.T) @ m.W
+        A = stats.Q.T @ m.W
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(A.T @ A)
+        n = 10 ** 5
+        phi = sample_phi(m, stats, n, make_rng(18))
+        emp = phi.T @ phi / n
+        var = (np.outer(np.diag(target), np.diag(target)) + target ** 2) / n
+        assert np.all(np.abs(emp - target) < 5 * np.sqrt(var) + 1e-12)
+
     def test_linearity_in_w(self, rng):
         m = random_model(rng, 4, 2)
         stats = stats_for(m, rng)

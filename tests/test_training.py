@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model, random_spins
+from conftest import random_model, random_spins, with_config
 from spinrbm.data import Dataset, compute_stats
 from spinrbm.model import GradientPair, RbmModel, exact_nll, exact_nll_gradient
 from spinrbm.training import (AdamState, TrainConfig, adam_step, init_model,
@@ -191,6 +191,27 @@ class TestCheckpoint:
         save_checkpoint(model, adam, small_config(), stats, path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_truncation_at_every_offset_rejected(self, rng, tmp_path):
+        model, adam, stats = self._random_state(rng, n_v=4, n_h=3, r=4)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, adam, small_config(), stats, path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.rbm"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match=r"magic|offset \d+"):
+                load_checkpoint(cut)
+
+    def test_unknown_config_key_rejected(self, rng, tmp_path):
+        model, adam, stats = self._random_state(rng)
+        config = small_config()
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, adam, config, stats, path)
+        path.write_bytes(with_config(path.read_bytes(), config,
+                                     {**config.__dict__, "bogus": 1}))
+        with pytest.raises(ValueError, match="'bogus'"):
             load_checkpoint(path)
 
     def test_sampling_without_recomputing_stats(self, rng, tmp_path):
