@@ -7,7 +7,7 @@ from .metrics import (MetricsRecord, energy_coefficient, recon_error,
 from .model import (GradientPair, RbmModel, energy, exact_nll,
                     exact_nll_gradient, hidden_field, hidden_mean,
                     nll_gradient, visible_field)
-from .sampling import (SamplerConfig, belief_generate, gibbs_steps, make_rng,
+from .sampling import (belief_generate, gibbs_chain, gibbs_steps, make_rng,
                        sample_hidden, sample_phi, sample_visible)
 from .training import (AdamState, TrainConfig, adam_step, init_model,
                        load_checkpoint, save_checkpoint, train)

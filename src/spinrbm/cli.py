@@ -15,15 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .data import binarize, compute_stats, load_idx
 from .images import rescale_to_gray, spins_to_gray, tile_grid, write_pgm
 from .io_util import atomic_write_text
 from .metrics import RECON_ERROR_DEFINITION, energy_coefficient, recon_error
 from .model import visible_mean
-from .sampling import belief_generate, gibbs_steps, make_rng, sample_hidden
-from .training import (TrainConfig, TrainingDiverged, load_checkpoint,
-                       save_checkpoint, train)
+from .sampling import gibbs_chain, make_rng, sample_hidden
+from .training import (AdamState, TrainConfig, TrainingDiverged,
+                       load_checkpoint, save_checkpoint, train)
 
 DEFAULT_STEPS = (0, 1, 2, 4, 8, 16, 32)
 EVAL_STEPS = (0, 2, 4, 8, 16, 32)
@@ -71,10 +70,22 @@ def _load_dataset(data_path, threshold, subset=0, with_labels=False):
 
 
 def _parse_steps(text):
-    steps = [int(s) for s in str(text).replace(",", " ").split()]
-    if steps != sorted(steps) or any(k < 0 for k in steps):
-        raise CliError(f"steps must be nonnegative and ascending, got {steps}")
-    return steps
+    """Step list from "0,1,2" or "0 1 2"; gibbs_chain checks the order."""
+    return [int(s) for s in str(text).replace(",", " ").split()]
+
+
+def _check_config_value(key, value, default):
+    """A config-file value must have the JSON type of the flag it stands for
+    (a number for float flags, an integer for int flags, else a string)."""
+    kinds = {float: (int, float), int: (int,)}.get(type(default), (str,))
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise CliError(f"config key {key!r} must be a {kinds[-1].__name__}, "
+                       f"got {value!r}")
+
+
+def _check_count(count):
+    if count < 1:
+        raise CliError(f"--count must be >= 1, got {count}")
 
 
 def _resolve(args):
@@ -86,10 +97,13 @@ def _resolve(args):
     if args.config:
         with open(args.config) as fh:
             file_conf = json.load(fh)
+        if not isinstance(file_conf, dict):
+            raise CliError(f"{args.config}: config must be a JSON object")
         for key, value in file_conf.items():
             key = key.replace("-", "_")
             if key not in merged:
                 raise CliError(f"unknown config key {key!r} for {args.command}")
+            _check_config_value(key, value, args._defaults[key])
             merged[key] = value
     for key in merged:
         cli_value = getattr(args, key, None)
@@ -137,7 +151,6 @@ def cmd_train(args):
         "seed": args.seed,
         "subset": args.subset,
         "recon_error_definition": RECON_ERROR_DEFINITION,
-        "kernel_backend": kernels.BACKEND,
     }
     atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -152,14 +165,12 @@ def cmd_train(args):
     try:
         model, metrics = train(dataset, stats, config, on_epoch=on_epoch)
     except TrainingDiverged as exc:
-        # keep the last finite model so the run is inspectable
-        from .training import AdamState
-        adam = last["adam"] or AdamState.zeros(exc.model.n_v, exc.model.n_h)
-        save_checkpoint(exc.model, adam, config, stats, checkpoint_path)
+        # keep the last finite model and its optimizer state so the run is
+        # inspectable
+        save_checkpoint(exc.model, exc.adam, config, stats, checkpoint_path)
         _write_metrics_csv(csv_path, exc.metrics)
         raise CliError(f"training diverged: {exc}") from exc
 
-    from .training import AdamState
     adam = last["adam"] or AdamState.zeros(model.n_v, model.n_h)
     save_checkpoint(model, adam, config, stats, checkpoint_path)
     _write_metrics_csv(csv_path, metrics)
@@ -178,12 +189,8 @@ def cmd_sample(args):
     steps = _parse_steps(args.steps)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5A)
-    v = belief_generate(model, stats, args.chains, rng, refine_k=0)
     rows = []
-    done = 0
-    for k in steps:
-        v = gibbs_steps(model, v, k - done, rng)
-        done = k
+    for _, v in gibbs_chain(model, stats, args.chains, steps, rng):
         rows.extend(spins_to_gray(v, side))
     write_pgm(args.out, tile_grid(rows, len(steps), args.chains))
     print(f"wrote {args.out}: {len(steps)} rows x {args.chains} chains")
@@ -191,6 +198,7 @@ def cmd_sample(args):
 
 
 def cmd_reconstruct(args):
+    _check_count(args.count)
     model, _, _, _ = load_checkpoint(args.checkpoint)
     dataset, _ = _load_dataset(args.data, args.threshold)
     side = _image_side(model.n_v)
@@ -215,13 +223,8 @@ def cmd_eval(args):
     n = min(args.batch_size, dataset.n)
     data_idx = rng.choice(dataset.n, size=n, replace=False)
     data_batch = dataset.spins[data_idx]
-
-    v = belief_generate(model, stats, n, rng, refine_k=0)
     rows = []
-    done = 0
-    for k in steps:
-        v = gibbs_steps(model, v, k - done, rng)
-        done = k
+    for k, v in gibbs_chain(model, stats, n, steps, rng):
         err = recon_error(model, v, make_rng(args.seed, 0x5D, k))
         coeff = energy_coefficient(data_batch, v)
         rows.append((k, repr(err), repr(coeff)))
@@ -231,6 +234,7 @@ def cmd_eval(args):
 
 
 def cmd_weights(args):
+    _check_count(args.count)
     model, _, _, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5E)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import check_spins, visible_mean
-from .sampling import belief_generate, gibbs_steps, sample_hidden
+from .sampling import gibbs_chain, sample_hidden
 
 RECON_ERROR_DEFINITION = (
     "recon_error = mean(|v - tanh(b + W h)|) / 2 with h ~ p(h|v), one draw"
@@ -70,18 +70,11 @@ def recon_error(model, batch, rng):
 
 def recon_error_vs_steps(model, stats, batch_size, steps, rng):
     """Reconstruction error of belief-generated samples after k Gibbs sweeps,
-    for each k in steps (sorted ascending).  The chain is advanced
-    incrementally; each evaluation uses its own derived stream so the chain
-    itself is unaffected by the measurement."""
-    steps = list(steps)
-    if steps != sorted(steps) or any(k < 0 for k in steps):
-        raise ValueError("steps must be sorted ascending and nonnegative")
-    v = belief_generate(model, stats, batch_size, rng, refine_k=0)
+    for each k in steps (sorted ascending), along one chain.  Each evaluation
+    samples from its own stream, keyed by a draw from rng; the measurement's
+    own draws stay out of the chain."""
     out = []
-    done = 0
-    for k in steps:
-        v = gibbs_steps(model, v, k - done, rng)
-        done = k
+    for k, v in gibbs_chain(model, stats, batch_size, steps, rng):
         eval_rng = np.random.Generator(np.random.Philox(key=rng.integers(1 << 62)))
         out.append((k, recon_error(model, v, eval_rng)))
     return out

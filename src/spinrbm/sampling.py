@@ -5,22 +5,30 @@ counter-based bit generator, so every sampler is reproducible from
 (seed, inputs) and independent streams are cheap to derive.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import kernels
 from .model import check_spins, hidden_field, visible_field
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int
-    k_gibbs: int = 0
+def draw_spins(phi, u):
+    """Sample +/-1 spins from independent logistic conditionals.
 
-    def __post_init__(self):
-        if self.k_gibbs < 0:
-            raise ValueError("k_gibbs must be >= 0")
+    phi : float64 array, local fields.
+    u   : float64 array of the same shape, uniform variates in [0, 1).
+
+    Returns an int8 array: +1 where u < sigma(2*phi), else -1.  The factor
+    of 2 comes from P(s=+1)/P(s=-1) = exp(2*phi) for +/-1 units.
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if phi.shape != u.shape:
+        raise ValueError(f"shape mismatch: phi {phi.shape} vs u {u.shape}")
+    # sigma(2 phi) = 1 / (1 + exp(-2 phi)), computed in one buffer
+    p_plus = np.multiply(phi, -2.0, out=np.empty(phi.shape))
+    np.exp(p_plus, out=p_plus)
+    p_plus += 1.0
+    np.divide(1.0, p_plus, out=p_plus)
+    return np.where(u < p_plus, np.int8(1), np.int8(-1))
 
 
 def make_rng(seed, *stream):
@@ -39,14 +47,14 @@ def sample_hidden(model, v_batch, rng):
     """Draw h ~ p(h|v) for each row: h_i = +1 w.p. sigma(2 phi_i)."""
     phi = hidden_field(model, np.atleast_2d(np.asarray(v_batch)))
     u = rng.random(phi.shape)
-    return kernels.draw_spins(phi, u)
+    return draw_spins(phi, u)
 
 
 def sample_visible(model, h_batch, rng):
     """Draw v ~ p(v|h) for each row: v_j = +1 w.p. sigma(2 (b + W h)_j)."""
     field = visible_field(model, np.atleast_2d(np.asarray(h_batch)))
     u = rng.random(field.shape)
-    return kernels.draw_spins(field, u)
+    return draw_spins(field, u)
 
 
 def gibbs_steps(model, v0, k, rng):
@@ -97,8 +105,33 @@ def belief_generate(model, stats, batch, rng, refine_k=0):
     if batch < 1:
         raise ValueError("batch must be >= 1")
     phi = sample_phi(model, stats, batch, rng)
-    h = kernels.draw_spins(phi, rng.random(phi.shape))
+    h = draw_spins(phi, rng.random(phi.shape))
     v = sample_visible(model, h, rng)
     if refine_k:
         v = gibbs_steps(model, v, refine_k, rng)
     return v
+
+
+def gibbs_chain(model, stats, batch, steps, rng):
+    """Walk belief-generated chains through ascending Gibbs step counts.
+
+    Yields (k, v) for each k in steps, v being the batch after k block-Gibbs
+    sweeps in total; a repeated k yields the same v again.  steps must be
+    sorted ascending and nonnegative (checked before anything is drawn).
+    The chain draws from rng only when advanced, so a caller may draw from
+    rng between steps.
+    """
+    steps = list(steps)
+    if steps != sorted(steps) or any(k < 0 for k in steps):
+        raise ValueError(
+            f"steps must be sorted ascending and nonnegative, got {steps}")
+    return _walk_chain(model, stats, batch, steps, rng)
+
+
+def _walk_chain(model, stats, batch, steps, rng):
+    v = belief_generate(model, stats, batch, rng)
+    done = 0
+    for k in steps:
+        v = gibbs_steps(model, v, k - done, rng)
+        done = k
+        yield k, v

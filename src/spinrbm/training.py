@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("init_std must be >= 0")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
+        if self.k < 0:
+            raise ValueError("k must be >= 0")
 
 
 @dataclass
@@ -74,11 +76,13 @@ class AdamState:
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite gradient or metric; carries the last finite model."""
+    """Non-finite gradient or metric; carries the last finite model, the Adam
+    state that goes with it, and the metrics logged so far."""
 
-    def __init__(self, message, model, metrics):
+    def __init__(self, message, model, adam, metrics):
         super().__init__(message)
         self.model = model
+        self.adam = adam
         self.metrics = metrics
 
 
@@ -137,6 +141,10 @@ def train(dataset, stats, config, on_epoch=None):
     from .data import minibatches  # local import to avoid cycle at module load
 
     train_set, holdout = _split_holdout(dataset, config)
+    if train_set.n < config.batch_size:
+        raise ValueError(
+            f"training split holds {train_set.n} rows after the held-out "
+            f"fold, fewer than batch_size {config.batch_size}")
     model = init_model(dataset.n_v, config.n_hidden, config.init_std,
                        stats.mu, config.seed)
     adam = AdamState.zeros(dataset.n_v, config.n_hidden)
@@ -154,7 +162,7 @@ def train(dataset, stats, config, on_epoch=None):
                                          (model.b, model.W))
             except FloatingPointError as exc:
                 raise TrainingDiverged(
-                    f"epoch {epoch} batch {i}: {exc}", model, metrics) from exc
+                    f"epoch {epoch} batch {i}: {exc}", model, adam, metrics) from exc
             model = replace(model, b=b, W=W)
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
@@ -162,7 +170,7 @@ def train(dataset, stats, config, on_epoch=None):
             if not (np.isfinite(record.energy_coefficient)
                     and np.isfinite(record.recon_error)):
                 raise TrainingDiverged(
-                    f"epoch {epoch}: non-finite metric", model, metrics)
+                    f"epoch {epoch}: non-finite metric", model, adam, metrics)
             metrics.append(record)
             if on_epoch is not None:
                 on_epoch(model, adam, record)

@@ -3,14 +3,24 @@ import json
 import numpy as np
 import pytest
 
+import spinrbm.training
 from conftest import random_model, with_config
 from spinrbm.cli import main
 from spinrbm.data import DataStats
 from spinrbm.images import read_pgm
-from spinrbm.training import AdamState, TrainConfig, save_checkpoint
+from spinrbm.model import GradientPair
+from spinrbm.training import (AdamState, TrainConfig, load_checkpoint,
+                              save_checkpoint)
 
 TRAIN_FLAGS = ["--n-hidden", "32", "--epochs", "2", "--batch-size", "128",
                "--eval-batch", "128"]
+
+
+def assert_error_line(code, capsys, reason):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and reason in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture
@@ -66,6 +76,41 @@ class TestTrain:
         conf.write_text(json.dumps({"bogus": 1}))
         assert main(["train", "--config", str(conf)]) != 0
 
+    def test_config_not_an_object_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps([{"epochs": 1}]))
+        assert_error_line(main(["train", "--config", str(conf)]), capsys,
+                          "JSON object")
+
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"epochs": "3"}))
+        assert_error_line(main(["train", "--config", str(conf)]), capsys,
+                          "'epochs'")
+
+    def test_divergence_saves_matching_adam_state(self, synthetic_idx_dir,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        # 1872 training rows in batches of 128: 15 steps per epoch, so the
+        # 21st gradient falls mid-way through epoch 2, after the epoch-1 log
+        real = spinrbm.training.nll_gradient
+        calls = []
+
+        def failing(model, data, neg):
+            calls.append(1)
+            grads = real(model, data, neg)
+            if len(calls) == 21:
+                return GradientPair(d_b=grads.d_b * np.nan, d_W=grads.d_W)
+            return grads
+
+        monkeypatch.setattr(spinrbm.training, "nll_gradient", failing)
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir),
+                     "--out", str(out), "--seed", "5", *TRAIN_FLAGS])
+        assert_error_line(code, capsys, "training diverged")
+        _, adam, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        assert adam.t == 20
+
 
 class TestSample:
     def test_default_grid_layout(self, trained_run, tmp_path):
@@ -113,10 +158,7 @@ class TestSample:
         for bad, reason in ((truncated, "offset 20"), (unknown, "'bogus'")):
             code = main(["sample", "--checkpoint", str(bad),
                          "--out", str(tmp_path / "o.pgm")])
-            err = capsys.readouterr().err
-            assert code == 1
-            assert err.startswith("error: ") and reason in err
-            assert "Traceback" not in err
+            assert_error_line(code, capsys, reason)
 
 
 class TestReconstruct:
@@ -126,6 +168,14 @@ class TestReconstruct:
                      str(trained_run / "checkpoint.rbm"),
                      "--data", str(synthetic_idx_dir), "--out", str(out)]) == 0
         assert read_pgm(out).shape == (2 * 29 + 1, 16 * 29 + 1)
+
+    def test_zero_count_rejected(self, trained_run, synthetic_idx_dir,
+                                 tmp_path, capsys):
+        code = main(["reconstruct", "--checkpoint",
+                     str(trained_run / "checkpoint.rbm"),
+                     "--data", str(synthetic_idx_dir),
+                     "--out", str(tmp_path / "rec.pgm"), "--count", "0"])
+        assert_error_line(code, capsys, "--count")
 
 
 class TestEval:
@@ -161,6 +211,12 @@ class TestWeights:
                      str(trained_run / "checkpoint.rbm"),
                      "--out", str(out), "--count", "16"]) == 0
         assert read_pgm(out).shape == (4 * 29 + 1, 4 * 29 + 1)
+
+    def test_zero_count_rejected(self, trained_run, tmp_path, capsys):
+        code = main(["weights", "--checkpoint",
+                     str(trained_run / "checkpoint.rbm"),
+                     "--out", str(tmp_path / "w.pgm"), "--count", "0"])
+        assert_error_line(code, capsys, "--count")
 
     def test_seed_determinism(self, trained_run, tmp_path):
         blobs = []

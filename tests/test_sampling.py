@@ -4,8 +4,8 @@ import pytest
 from conftest import brute_visible_probs, random_model, random_spins
 from spinrbm.data import DataStats, Dataset, compute_stats
 from spinrbm.model import RbmModel
-from spinrbm.sampling import (SamplerConfig, belief_generate, gibbs_steps,
-                              make_rng, sample_hidden, sample_phi,
+from spinrbm.sampling import (belief_generate, draw_spins, gibbs_chain,
+                              gibbs_steps, make_rng, sample_hidden, sample_phi,
                               sample_visible)
 
 N_MC = 10 ** 6
@@ -14,6 +14,33 @@ N_MC = 10 ** 6
 def stats_for(model, rng, n=200):
     data = random_spins(rng, (n, model.n_v))
     return compute_stats(Dataset(spins=data))
+
+
+class TestDrawSpins:
+    def test_threshold_semantics(self):
+        phi = np.array([[100.0, -100.0, 0.0]])
+        u = np.array([[0.5, 0.5, 0.25]])
+        out = draw_spins(phi, u)
+        # sigma(2*100) ~ 1 -> +1; sigma(-200) ~ 0 -> -1; u=0.25 < 0.5 -> +1
+        assert out.tolist() == [[1, -1, 1]]
+        assert out.dtype == np.int8
+
+    def test_matches_logistic_reference_exactly(self):
+        # the in-place arithmetic must equal the plain expression bit for
+        # bit, also where exp(-2 phi) overflows (phi = -400) or vanishes
+        gen = np.random.default_rng(1)
+        phi = gen.normal(0, 3, (300, 40))
+        phi[:, :4] = [400.0, -400.0, 0.0, -0.0]
+        u = gen.random(phi.shape)
+        with np.errstate(over="ignore"):
+            ref = np.where(u < 1 / (1 + np.exp(-2 * phi)), 1, -1)
+            out = draw_spins(phi, u)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, ref)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            draw_spins(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestSampleHidden:
@@ -201,9 +228,28 @@ class TestBeliefGenerate:
             belief_generate(m, stats, 0, make_rng(17))
 
 
-def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, k_gibbs=-1)
+class TestGibbsChain:
+    def test_matches_belief_generate_then_gibbs_steps(self, rng):
+        m = random_model(rng, 6, 3)
+        stats = stats_for(m, rng)
+        steps = [0, 1, 1, 4]
+        seen = []
+        for k, v in gibbs_chain(m, stats, 20, steps, make_rng(18)):
+            seen.append(k)
+            ref_rng = make_rng(18)
+            ref = belief_generate(m, stats, 20, ref_rng)
+            ref = gibbs_steps(m, ref, k, ref_rng)
+            assert np.array_equal(v, ref)
+        assert seen == steps
+
+    @pytest.mark.parametrize("steps", [[2, 1], [-1, 0]])
+    def test_bad_steps_rejected_before_drawing(self, rng, steps):
+        m = random_model(rng, 4, 2)
+        stats = stats_for(m, rng)
+        gen = make_rng(19)
+        with pytest.raises(ValueError, match="ascending and nonnegative"):
+            gibbs_chain(m, stats, 8, steps, gen)
+        assert gen.random() == make_rng(19).random()  # nothing drawn
 
 
 def test_make_rng_streams_differ():

@@ -136,6 +136,13 @@ class TestTrain:
         model, metrics = train(ds, stats, config)
         assert np.all(np.isfinite(model.W)) and metrics
 
+    def test_batch_larger_than_training_split_rejected(self):
+        # 80 rows less an 8-row held-out fold leave 72 for training
+        ds = pattern_dataset()
+        stats = compute_stats(ds)
+        with pytest.raises(ValueError, match="holds 72 rows.*batch_size 75"):
+            train(ds, stats, small_config(batch_size=75))
+
 
 class TestExactDescent:
     def test_gradient_steps_decrease_exact_nll(self, rng):
@@ -232,3 +239,8 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             small_config(negative_mode="pcd")
+
+    def test_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            small_config(k=-1)
+        assert small_config(k=0).k == 0
