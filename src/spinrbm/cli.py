@@ -71,7 +71,10 @@ def _load_dataset(data_path, threshold, subset=0, with_labels=False):
 
 def _parse_steps(text):
     """Step list from "0,1,2" or "0 1 2"; gibbs_chain checks the order."""
-    return [int(s) for s in str(text).replace(",", " ").split()]
+    steps = [int(s) for s in str(text).replace(",", " ").split()]
+    if not steps:
+        raise CliError(f"--steps names no step: {text!r}")
+    return steps
 
 
 def _check_config_value(key, value, default):

@@ -15,6 +15,10 @@ IDX_MAGIC_LABELS = 0x00000801
 # eigenvalue below this is treated as numerically zero rank
 _RANK_TOL = 1e-12
 
+# rows per block in binarize and compute_stats: their temporaries hold at
+# most this many rows, never the whole dataset
+_ROWS = 4096
+
 
 class IdxParseError(ValueError):
     """Malformed IDX file; the message names the byte offset."""
@@ -90,31 +94,47 @@ def load_idx(path):
 
 
 def binarize(images, threshold=0.5, labels=None):
-    """Map 0-255 pixels to spins: +1 where pixel/255 > threshold, else -1."""
+    """Map 0-255 pixels to spins: +1 where pixel/255 > threshold, else -1.
+
+    Works in blocks of _ROWS rows, writing into one int8 array.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     images = np.asarray(images)
     flat = images.reshape(images.shape[0], -1)
-    spins = np.where(flat / 255.0 > threshold, 1, -1).astype(np.int8)
+    spins = np.empty(flat.shape, dtype=np.int8)
+    for lo in range(0, flat.shape[0], _ROWS):
+        out = spins[lo:lo + _ROWS]
+        np.greater(flat[lo:lo + _ROWS] / 255.0, threshold, out=out.view(np.bool_))
+        out += out  # {0, 1} -> {-1, +1}
+        out -= 1
     return Dataset(spins=spins, labels=labels)
 
 
 def compute_stats(dataset, eig_floor=0.0):
     """Column mean and eigendecomposition square root of the covariance.
 
-    Sigma = (1/N) sum (v - mu)(v - mu)^T.  Q = V diag(sqrt(lambda)) over
+    Sigma = (1/N) sum (v - mu)(v - mu)^T = G/N - mu mu^T, where the Gram
+    G = S^T S of the spins is summed over blocks of _ROWS rows.  A float32
+    block product holds integers of magnitude <= _ROWS < 2^24, so it is
+    exact, and so is their float64 sum: Sigma does not depend on the row
+    order or the BLAS thread count.  Q = V diag(sqrt(lambda)) over
     eigenvalues clamped at eig_floor; columns below the rank tolerance are
     dropped, so Q is n_v x r with r <= n_v.  Eigendecomposition rather than
     Cholesky because MNIST's Sigma is rank-deficient (constant border
     pixels).
     """
-    spins = dataset.spins.astype(np.float64)
-    n = spins.shape[0]
+    spins = dataset.spins
+    n, n_v = spins.shape
     if n < 2:
         raise ValueError("need at least 2 samples for covariance statistics")
-    mu = spins.mean(axis=0)
-    centered = spins - mu
-    sigma = centered.T @ centered / n
+    mu = spins.sum(axis=0, dtype=np.int64) / n
+    sigma = np.zeros((n_v, n_v))
+    for lo in range(0, n, _ROWS):
+        block = spins[lo:lo + _ROWS].astype(np.float32)
+        sigma += block.T @ block
+    sigma /= n
+    sigma -= np.outer(mu, mu)
     evals, evecs = np.linalg.eigh(sigma)
     evals = np.maximum(evals, eig_floor)
     keep = evals > _RANK_TOL

@@ -98,7 +98,9 @@ def hidden_mean(model, v):
 def visible_field(model, h):
     """Field b + W h acting on the visible units; p(v_j=+1|h) = sigma(2 field_j)."""
     h = check_spins(h, model.n_h, "h")
-    return model.b + h @ model.W.T
+    field = h @ model.W.T
+    field += model.b
+    return field
 
 
 def visible_mean(model, h):

@@ -28,7 +28,10 @@ def draw_spins(phi, u):
     np.exp(p_plus, out=p_plus)
     p_plus += 1.0
     np.divide(1.0, p_plus, out=p_plus)
-    return np.where(u < p_plus, np.int8(1), np.int8(-1))
+    spins = np.less(u, p_plus).view(np.int8)
+    spins += spins  # {0, 1} -> {-1, +1}
+    spins -= 1
+    return spins
 
 
 def make_rng(seed, *stream):

@@ -93,21 +93,44 @@ def init_model(n_v, n_h, init_std, mu, seed):
     return RbmModel(W=W, b=np.zeros(n_v), mu=np.asarray(mu, dtype=np.float64))
 
 
+def _adam_update(param, m, v, g, lr, b1, b2, eps, c1, c2):
+    """Adam for one array: (param', m', v') from the formula in adam_step.
+
+    Each floating-point operation and its order are the formula's; only
+    the temporaries are reused.  The inputs are never written to.
+    """
+    m_new = np.multiply(m, b1)
+    tmp = np.multiply(g, 1 - b1)
+    m_new += tmp                          # b1 m + (1 - b1) g
+    v_new = np.square(g)
+    v_new *= 1 - b2
+    v_new += np.multiply(v, b2, out=tmp)  # b2 v + (1 - b2) g^2
+    np.divide(v_new, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    step = np.divide(m_new, c1)
+    step *= lr
+    step /= tmp                           # lr (m / c1) / (sqrt(v / c2) + eps)
+    return np.subtract(param, step, out=step), m_new, v_new
+
+
 def adam_step(state, grads, lr, params):
-    """One Adam update of params = (b, W); returns new params and state."""
+    """One Adam update of params = (b, W); returns new params and state.
+
+    m' = b1 m + (1 - b1) g, v' = b2 v + (1 - b2) g^2 and
+    p' = p - lr (m' / c1) / (sqrt(v' / c2) + eps), c_i = 1 - b_i^t.
+    """
     b, W = params
     if not (np.all(np.isfinite(grads.d_b)) and np.all(np.isfinite(grads.d_W))):
         raise FloatingPointError("non-finite gradient")
     t = state.t + 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    m_b = b1 * state.m_b + (1 - b1) * grads.d_b
-    m_W = b1 * state.m_W + (1 - b1) * grads.d_W
-    v_b = b2 * state.v_b + (1 - b2) * grads.d_b ** 2
-    v_W = b2 * state.v_W + (1 - b2) * grads.d_W ** 2
     c1 = 1 - b1 ** t
     c2 = 1 - b2 ** t
-    new_b = b - lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
-    new_W = W - lr * (m_W / c1) / (np.sqrt(v_W / c2) + eps)
+    new_b, m_b, v_b = _adam_update(b, state.m_b, state.v_b, grads.d_b,
+                                   lr, b1, b2, eps, c1, c2)
+    new_W, m_W, v_W = _adam_update(W, state.m_W, state.v_W, grads.d_W,
+                                   lr, b1, b2, eps, c1, c2)
     new_state = AdamState(m_b=m_b, m_W=m_W, v_b=v_b, v_W=v_W, t=t,
                           beta1=b1, beta2=b2, eps=eps)
     return (new_b, new_W), new_state

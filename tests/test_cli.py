@@ -127,6 +127,13 @@ class TestSample:
                      "--out", str(out), "--steps", "0"]) == 0
         assert read_pgm(out).shape == (29 + 1, 16 * 29 + 1)
 
+    def test_empty_steps_rejected(self, trained_run, tmp_path, capsys):
+        out = tmp_path / "s.pgm"
+        code = main(["sample", "--checkpoint", str(trained_run / "checkpoint.rbm"),
+                     "--out", str(out), "--steps", ""])
+        assert_error_line(code, capsys, "--steps")
+        assert not out.exists()
+
     def test_seed_determinism(self, trained_run, tmp_path):
         blobs = []
         for name in ("x.pgm", "y.pgm"):
@@ -202,6 +209,15 @@ class TestEval:
                      "--data", str(synthetic_idx_dir), "--out", str(out),
                      "--steps", "0", "--batch-size", "128"]) == 0
         assert len(out.read_text().splitlines()) == 2
+
+    def test_empty_steps_rejected(self, trained_run, synthetic_idx_dir,
+                                  tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code = main(["eval", "--checkpoint", str(trained_run / "checkpoint.rbm"),
+                     "--data", str(synthetic_idx_dir), "--out", str(out),
+                     "--steps", ","])
+        assert_error_line(code, capsys, "--steps")
+        assert not out.exists()
 
 
 class TestWeights:

@@ -1,12 +1,19 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import idx_image_bytes, idx_label_bytes
-from spinrbm.data import (Dataset, IdxParseError, binarize, compute_stats,
-                          load_idx, minibatches)
+from spinrbm.data import (_ROWS, Dataset, IdxParseError, binarize,
+                          compute_stats, load_idx, minibatches)
+
+
+def biased_spins(rng, n, n_v):
+    """Spins with a different +1 probability per column."""
+    p = rng.uniform(0.05, 0.95, n_v)
+    return np.where(rng.random((n, n_v)) < p, 1, -1).astype(np.int8)
 
 
 class TestLoadIdx:
@@ -77,6 +84,22 @@ class TestBinarize:
         with pytest.raises(ValueError):
             binarize(np.zeros((1, 1, 1), dtype=np.uint8), threshold=1.0)
 
+    @pytest.mark.parametrize("threshold", [0.01, 0.25, 0.5, 127 / 255, 0.99])
+    def test_matches_reference_for_every_pixel_value(self, rng, threshold):
+        # more rows than one block, every pixel value 0..255 present
+        images = rng.integers(0, 256, (2 * _ROWS + 3, 2, 128)).astype(np.uint8)
+        images[0] = np.arange(256).reshape(2, 128)
+        ref = np.where(images.reshape(len(images), -1) / 255.0 > threshold, 1, -1)
+        spins = binarize(images, threshold).spins
+        assert spins.dtype == np.int8
+        assert np.array_equal(spins, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_matches_reference_for_other_dtypes(self, rng, dtype):
+        images = rng.uniform(0, 255, (_ROWS + 7, 5, 5)).astype(dtype)
+        ref = np.where(images.reshape(len(images), -1) / 255.0 > 0.3, 1, -1)
+        assert np.array_equal(binarize(images, 0.3).spins, ref)
+
 
 class TestComputeStats:
     def test_constant_dataset(self):
@@ -109,11 +132,36 @@ class TestComputeStats:
         assert evals.min() > -1e-12
 
     def test_row_permutation_invariance(self, rng):
-        spins = np.where(rng.random((20, 4)) < 0.5, 1, -1).astype(np.int8)
+        # byte-identical, over more rows than one block
+        spins = biased_spins(rng, 2 * _ROWS + 5, 48)
         a = compute_stats(Dataset(spins=spins))
-        b = compute_stats(Dataset(spins=spins[rng.permutation(20)]))
-        assert a.mu == pytest.approx(b.mu)
-        assert a.Q @ a.Q.T == pytest.approx(b.Q @ b.Q.T)
+        b = compute_stats(Dataset(spins=spins[rng.permutation(len(spins))]))
+        assert a.mu.tobytes() == b.mu.tobytes()
+        assert a.Q.tobytes() == b.Q.tobytes()
+
+    @pytest.mark.parametrize("n_constant", [0, 14])
+    def test_matches_centered_reference(self, rng, n_constant):
+        spins = biased_spins(rng, 2 * _ROWS + 5, 48)
+        # constant pixels, as on MNIST's border, make Sigma rank-deficient
+        spins[:, :n_constant // 2] = 1
+        spins[:, 48 - n_constant // 2:] = -1
+        stats = compute_stats(Dataset(spins=spins))
+        assert stats.Q.shape == (48, 48 - n_constant)
+        assert np.array_equal(stats.mu, spins.astype(np.float64).mean(axis=0))
+        centered = spins - spins.mean(axis=0)
+        sigma = centered.T @ centered / len(spins)
+        assert np.abs(stats.Q @ stats.Q.T - sigma).max() < 1e-12
+
+    def test_peak_memory_below_one_float64_copy(self, rng):
+        images = rng.integers(0, 256, (12000, 28, 28)).astype(np.uint8)
+        float64_copy = images.size * 8
+        tracemalloc.start()
+        try:
+            compute_stats(binarize(images))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < float64_copy
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

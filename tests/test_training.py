@@ -78,6 +78,30 @@ class TestAdam:
         assert params[0][0] == pytest.approx(theta, rel=1e-12)
         assert params[1][0, 0] == pytest.approx(theta, rel=1e-12)
 
+    def test_bit_identical_to_formula_and_inputs_untouched(self, rng):
+        n_v, n_h, lr = 784, 128, 1e-3
+        state = AdamState(m_b=rng.normal(size=n_v), m_W=rng.normal(size=(n_v, n_h)),
+                          v_b=rng.random(n_v), v_W=rng.random((n_v, n_h)), t=4)
+        grads = GradientPair(d_b=rng.normal(size=n_v), d_W=rng.normal(size=(n_v, n_h)))
+        params = (rng.normal(size=n_v), rng.normal(size=(n_v, n_h)))
+        inputs = [state.m_b, state.m_W, state.v_b, state.v_W,
+                  grads.d_b, grads.d_W, *params]
+        before = [a.copy() for a in inputs]
+        (b, W), new = adam_step(state, grads, lr, params)
+        b1, b2, eps, t = state.beta1, state.beta2, state.eps, 5
+        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+        for p, m, v, g, got_p, got_m, got_v in (
+                (params[0], state.m_b, state.v_b, grads.d_b, b, new.m_b, new.v_b),
+                (params[1], state.m_W, state.v_W, grads.d_W, W, new.m_W, new.v_W)):
+            m_ref = b1 * m + (1 - b1) * g
+            v_ref = b2 * v + (1 - b2) * g ** 2
+            p_ref = p - lr * (m_ref / c1) / (np.sqrt(v_ref / c2) + eps)
+            assert got_m.tobytes() == m_ref.tobytes()
+            assert got_v.tobytes() == v_ref.tobytes()
+            assert got_p.tobytes() == p_ref.tobytes()
+        assert new.t == t
+        assert all(np.array_equal(a, c) for a, c in zip(inputs, before))
+
     def test_non_finite_gradient_rejected(self):
         state = AdamState.zeros(1, 1)
         g = GradientPair(d_b=np.array([np.nan]), d_W=np.zeros((1, 1)))
