@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +34,10 @@ PRESETS = {
     "desk": dict(n_hidden=128, epochs=20, batch_size=256,
                  learning_rate=1e-3, init_std=0.1, subset=10000),
 }
+
+# environment variables that set the BLAS thread count, on which the trained
+# bytes depend (README, determinism contract)
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _IMAGE_NAMES = ("train-images-idx3-ubyte", "train-images.idx3-ubyte")
 _LABEL_NAMES = ("train-labels-idx1-ubyte", "train-labels.idx1-ubyte")
@@ -130,6 +135,14 @@ def _image_side(n_v):
     return side
 
 
+def _thread_setting():
+    """Cores, CPU affinity and the thread variables the run saw."""
+    affinity = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None)
+    return {"cpu_count": os.cpu_count(), "affinity_count": affinity,
+            **{name: os.environ.get(name) for name in _THREAD_VARS}}
+
+
 def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,6 +167,8 @@ def cmd_train(args):
         "seed": args.seed,
         "subset": args.subset,
         "recon_error_definition": RECON_ERROR_DEFINITION,
+        "threads": _thread_setting(),
+        "numpy_version": np.__version__,
     }
     atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 

@@ -2,6 +2,7 @@
 
 import gzip
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,11 @@ class DataStats:
 
     mu: np.ndarray
     Q: np.ndarray
+
+    @cached_property
+    def Q32(self):
+        """Q cast to float32 for the sampler, once per DataStats."""
+        return self.Q.astype(np.float32)
 
 
 def _read_bytes(path):

@@ -26,15 +26,18 @@ class MetricsRecord:
 
 
 def _mean_cross_distance(x, y):
-    """Mean Euclidean distance over all ordered pairs (V-statistic form:
-    within-batch calls include the zero i=j terms)."""
+    """Mean Euclidean distance over all ordered pairs of rows of the float32
+    spin batches x and y (V-statistic form: within-batch calls include the
+    zero i=j terms)."""
     n_v = x.shape[1]
     # a.b of spin rows is an integer of magnitude <= n_v < 2^24, so the
-    # float32 gemm is exact; ||a - b||^2 = 2 (n_v - a.b) is formed in float64
-    dots = x.astype(np.float32) @ y.astype(np.float32).T
-    sq = 2.0 * (n_v - dots.astype(np.float64))
+    # float32 product is exact (x @ x.T runs as syrk); ||a - b||^2 =
+    # 2 (n_v - a.b) is formed in float64
+    sq = np.subtract(n_v, x @ y.T, dtype=np.float64)
+    sq *= 2.0
     np.maximum(sq, 0.0, out=sq)
-    return float(np.sqrt(sq).mean())
+    np.sqrt(sq, out=sq)
+    return float(sq.mean())
 
 
 def energy_coefficient(x, y):
@@ -50,6 +53,7 @@ def energy_coefficient(x, y):
         raise ValueError("empty batch")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"unit count mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x, y = x.astype(np.float32), y.astype(np.float32)
     d_xy = _mean_cross_distance(x, y)
     if d_xy == 0.0:
         return 0.0

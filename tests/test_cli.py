@@ -40,6 +40,15 @@ class TestTrain:
         manifest = json.loads((trained_run / "manifest.json").read_text())
         assert manifest["config"]["n_hidden"] == 32
 
+    def test_manifest_records_thread_setting(self, trained_run):
+        manifest = json.loads((trained_run / "manifest.json").read_text())
+        threads = manifest["threads"]
+        assert set(threads) == {"cpu_count", "affinity_count",
+                                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS"}
+        assert threads["cpu_count"] >= 1
+        assert manifest["numpy_version"] == np.__version__
+
     def test_metrics_header(self, trained_run):
         header = (trained_run / "metrics.csv").read_text().splitlines()[0]
         assert header == "epoch,energy_coefficient,recon_error,wall_ms"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,40 @@ class TestDrawSpins:
             out = draw_spins(phi, u)
         assert out.dtype == np.int8
         assert np.array_equal(out, ref)
+
+    def test_float32_matches_logistic_reference_exactly(self):
+        # float32 fields are worked in float32; exp(-2 phi) overflows below
+        # phi = -44.4, which must give p = 0 and raise no warning
+        gen = np.random.default_rng(2)
+        phi = gen.normal(0, 3, (300, 40)).astype(np.float32)
+        phi[:, :6] = [44.0, -44.0, 400.0, -400.0, 0.0, -0.0]
+        u = gen.random(phi.shape, dtype=np.float32)
+        u[:3, :6] = 0.0
+        with np.errstate(over="ignore"):
+            p = 1 / (1 + np.exp(-2 * phi))
+        assert p.dtype == np.float32
+        ref = np.where(u < p, 1, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = draw_spins(phi, u)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, ref)
+        assert np.all(out[:, 3] == -1) and np.all(out[:, 2] == 1)
+
+    def test_float32_field_with_float64_uniforms(self):
+        # mixed dtypes: p is computed in float32 and widened exactly; u is
+        # compared in float64, never rounded to float32
+        gen = np.random.default_rng(3)
+        phi = gen.normal(0, 1, (200, 50)).astype(np.float32)
+        p = (1 / (1 + np.exp(-2 * phi))).astype(np.float64)
+        u = gen.random(phi.shape)
+        # just below p in float64, but equal to p once rounded to float32
+        u[:, 0] = np.nextafter(p[:, 0], 0.0)
+        assert np.all(u[:, 0].astype(np.float32) == p[:, 0].astype(np.float32))
+        u[:, 1] = p[:, 1]
+        out = draw_spins(phi, u)
+        assert np.array_equal(out, np.where(u < p, 1, -1))
+        assert np.all(out[:, 0] == 1) and np.all(out[:, 1] == -1)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -138,6 +174,13 @@ class TestSamplePhi:
         m = RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), mu=np.zeros(3))
         stats = stats_for(m, rng)
         assert np.all(sample_phi(m, stats, 10, make_rng(9)) == 0)
+
+    def test_float32_output(self, rng):
+        m = random_model(rng, 5, 3)
+        stats = stats_for(m, rng)
+        phi = sample_phi(m, stats, 10, make_rng(20))
+        assert phi.dtype == np.float32 and phi.shape == (10, 3)
+        assert stats.Q.dtype == np.float64
 
     def test_missing_stats(self, rng):
         m = random_model(rng, 3, 2)

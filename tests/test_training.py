@@ -129,6 +129,20 @@ class TestTrain:
         assert np.array_equal(m1.W, m2.W) and np.array_equal(m1.b, m2.b)
         assert [m.energy_coefficient for m in r1] == [m.energy_coefficient for m in r2]
 
+    def test_stats_stay_float64_through_training_and_checkpoint(self, tmp_path):
+        # the sampler works on a float32 copy of Q; Q itself stays float64,
+        # in memory and in the checkpoint
+        ds = pattern_dataset()
+        stats = compute_stats(ds)
+        Q = stats.Q.copy()
+        model, _ = train(ds, stats, small_config(epochs=2))
+        assert stats.Q.dtype == np.float64 and stats.Q.tobytes() == Q.tobytes()
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, AdamState.zeros(model.n_v, model.n_h),
+                        small_config(), stats, path)
+        _, _, _, s2 = load_checkpoint(path)
+        assert s2.Q.dtype == np.float64 and s2.Q.tobytes() == Q.tobytes()
+
     def test_mu_never_trained(self):
         ds = pattern_dataset()
         stats = compute_stats(ds)
