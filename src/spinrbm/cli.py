@@ -1,8 +1,9 @@
 """``rbm`` command line: train, sample, reconstruct, eval, weights.
 
-Every flag has a config-file equivalent: ``--config run.json`` supplies a
-flat JSON object keyed by flag name (dashes or underscores); explicit CLI
-flags win over the file, which wins over the preset.
+Every flag except ``--preset`` and ``--config``, which are command-line
+only, has a config-file equivalent: ``--config run.json`` supplies a flat
+JSON object keyed by flag name (dashes or underscores); explicit CLI flags
+win over the file, which wins over the preset.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,9 @@ from .io_util import atomic_write_text
 from .metrics import RECON_ERROR_DEFINITION, energy_coefficient, recon_error
 from .model import visible_mean
 from .sampling import gibbs_chain, make_rng, sample_hidden
-from .training import (AdamState, TrainConfig, TrainingDiverged,
-                       load_checkpoint, save_checkpoint, train)
+from .training import (NEGATIVE_MODES, AdamState, TrainConfig,
+                       TrainingDiverged, load_checkpoint, save_checkpoint,
+                       train)
 
 DEFAULT_STEPS = (0, 1, 2, 4, 8, 16, 32)
 EVAL_STEPS = (0, 2, 4, 8, 16, 32)
@@ -40,38 +43,34 @@ PRESETS = {
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _IMAGE_NAMES = ("train-images-idx3-ubyte", "train-images.idx3-ubyte")
-_LABEL_NAMES = ("train-labels-idx1-ubyte", "train-labels.idx1-ubyte")
+
+# rbm train flag of each TrainConfig field whose name differs from it
+_TRAIN_FLAGS = {"binarize_threshold": "threshold"}
 
 
 class CliError(Exception):
     pass
 
 
-def _find_idx(data_path, names):
+def _find_idx(data_path):
     p = Path(data_path)
     if p.is_file():
         return p
-    for name in names:
+    for name in _IMAGE_NAMES:
         for candidate in (p / name, p / (name + ".gz")):
             if candidate.is_file():
                 return candidate
     return None
 
 
-def _load_dataset(data_path, threshold, subset=0, with_labels=False):
-    img_path = _find_idx(data_path, _IMAGE_NAMES)
+def _load_dataset(data_path, threshold, subset=0):
+    img_path = _find_idx(data_path)
     if img_path is None:
         raise CliError(f"no IDX image file found under {data_path}")
     images = load_idx(img_path)
-    labels = None
-    if with_labels:
-        lbl_path = _find_idx(data_path, _LABEL_NAMES)
-        if lbl_path is not None:
-            labels = load_idx(lbl_path)
     if subset:
         images = images[:subset]
-        labels = labels[:subset] if labels is not None else None
-    return binarize(images, threshold, labels=labels), img_path
+    return binarize(images, threshold), img_path
 
 
 def _parse_steps(text):
@@ -144,16 +143,15 @@ def _thread_setting():
 
 
 def cmd_train(args):
+    if args.subset < 0:
+        raise CliError(f"--subset must be >= 0 (0 = all), got {args.subset}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset, img_path = _load_dataset(args.data, args.threshold,
-                                      subset=args.subset, with_labels=True)
-    config = TrainConfig(
-        n_hidden=args.n_hidden, epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, init_std=args.init_std,
-        seed=args.seed, negative_mode=args.negative_mode, k=args.k,
-        binarize_threshold=args.threshold, eval_every=args.eval_every,
-        eval_batch=args.eval_batch)
+                                      subset=args.subset)
+    config = TrainConfig(**{
+        f.name: getattr(args, _TRAIN_FLAGS.get(f.name, f.name))
+        for f in fields(TrainConfig)})
 
     checkpoint_path = out / "checkpoint.rbm"
     csv_path = out / "metrics.csv"
@@ -289,7 +287,7 @@ def build_parser():
     p.add_argument("--init-std", dest="init_std", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--negative-mode", dest="negative_mode",
-                   choices=("belief_cd0", "cd_k_from_data"), default=None)
+                   choices=NEGATIVE_MODES, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--eval-every", dest="eval_every", type=int, default=None)
     p.add_argument("--eval-batch", dest="eval_batch", type=int, default=None)
@@ -297,10 +295,9 @@ def build_parser():
                    help="use only the first N samples (0 = all)")
     _add_common(p)
     p.set_defaults(func=cmd_train, _defaults=dict(
-        data=None, out="run", n_hidden=512, epochs=300, batch_size=1024,
-        learning_rate=1e-3, init_std=0.1, threshold=0.5,
-        negative_mode="belief_cd0", k=1, eval_every=1, eval_batch=1024,
-        subset=0, seed=0))
+        data=None, out="run", subset=0,
+        **{_TRAIN_FLAGS.get(f.name, f.name): f.default
+           for f in fields(TrainConfig)}))
 
     p = sub.add_parser("sample", help="sample-evolution grid from a checkpoint")
     p.add_argument("--checkpoint", default=None)

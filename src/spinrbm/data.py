@@ -11,7 +11,6 @@ from .model import check_spins
 from .sampling import make_rng
 
 IDX_MAGIC_IMAGES = 0x00000803
-IDX_MAGIC_LABELS = 0x00000801
 
 # eigenvalue below this is treated as numerically zero rank
 _RANK_TOL = 1e-12
@@ -30,10 +29,9 @@ class Dataset:
     """Binarized images as spins, N x n_v with entries +/-1."""
 
     spins: np.ndarray
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
-        spins = check_spins(np.atleast_2d(self.spins), name="spins")
+        spins = np.atleast_2d(check_spins(self.spins, name="spins"))
         if spins.shape[0] == 0:
             raise ValueError("dataset must contain at least one sample")
         object.__setattr__(self, "spins", spins)
@@ -69,25 +67,20 @@ def _read_bytes(path):
 
 
 def load_idx(path):
-    """Parse a big-endian IDX file (gzip accepted).
+    """Parse a big-endian IDX image file (gzip accepted).
 
-    Returns images as a (count, rows, cols) uint8 tensor, or labels as a
-    (count,) uint8 vector depending on the magic number.
+    Returns the images as a (count, rows, cols) uint8 tensor.
     """
     raw = _read_bytes(path)
     if len(raw) < 4:
         raise IdxParseError(f"{path}: truncated header at offset 0")
     magic = int.from_bytes(raw[0:4], "big")
-    if magic == IDX_MAGIC_IMAGES:
-        n_dims = 3
-    elif magic == IDX_MAGIC_LABELS:
-        n_dims = 1
-    else:
+    if magic != IDX_MAGIC_IMAGES:
         raise IdxParseError(f"{path}: bad magic 0x{magic:08x} at offset 0")
-    header_len = 4 + 4 * n_dims
+    header_len = 16  # magic, then count, rows, cols as big-endian u32
     if len(raw) < header_len:
         raise IdxParseError(f"{path}: truncated dimensions at offset 4")
-    dims = [int.from_bytes(raw[4 + 4 * i: 8 + 4 * i], "big") for i in range(n_dims)]
+    dims = [int.from_bytes(raw[4 + 4 * i: 8 + 4 * i], "big") for i in range(3)]
     count = int(np.prod(dims, dtype=np.int64))
     if count < 0 or count > (1 << 40):
         raise IdxParseError(f"{path}: implausible dimensions {dims} at offset 4")
@@ -99,7 +92,7 @@ def load_idx(path):
     return data.reshape(dims)
 
 
-def binarize(images, threshold=0.5, labels=None):
+def binarize(images, threshold=0.5):
     """Map 0-255 pixels to spins: +1 where pixel/255 > threshold, else -1.
 
     Works in blocks of _ROWS rows, writing into one int8 array.
@@ -114,21 +107,21 @@ def binarize(images, threshold=0.5, labels=None):
         np.greater(flat[lo:lo + _ROWS] / 255.0, threshold, out=out.view(np.bool_))
         out += out  # {0, 1} -> {-1, +1}
         out -= 1
-    return Dataset(spins=spins, labels=labels)
+    return Dataset(spins=spins)
 
 
-def compute_stats(dataset, eig_floor=0.0):
+def compute_stats(dataset):
     """Column mean and eigendecomposition square root of the covariance.
 
     Sigma = (1/N) sum (v - mu)(v - mu)^T = G/N - mu mu^T, where the Gram
     G = S^T S of the spins is summed over blocks of _ROWS rows.  A float32
     block product holds integers of magnitude <= _ROWS < 2^24, so it is
     exact, and so is their float64 sum: Sigma does not depend on the row
-    order or the BLAS thread count.  Q = V diag(sqrt(lambda)) over
-    eigenvalues clamped at eig_floor; columns below the rank tolerance are
-    dropped, so Q is n_v x r with r <= n_v.  Eigendecomposition rather than
-    Cholesky because MNIST's Sigma is rank-deficient (constant border
-    pixels).
+    order or the BLAS thread count.  Q = V diag(sqrt(lambda)) over the
+    eigenvalues above the rank tolerance (the rest, negative rounding
+    included, are dropped), so Q is n_v x r with r <= n_v.
+    Eigendecomposition rather than Cholesky because MNIST's Sigma is
+    rank-deficient (constant border pixels).
     """
     spins = dataset.spins
     n, n_v = spins.shape
@@ -142,7 +135,6 @@ def compute_stats(dataset, eig_floor=0.0):
     sigma /= n
     sigma -= np.outer(mu, mu)
     evals, evecs = np.linalg.eigh(sigma)
-    evals = np.maximum(evals, eig_floor)
     keep = evals > _RANK_TOL
     Q = evecs[:, keep] * np.sqrt(evals[keep])
     return DataStats(mu=mu, Q=Q)

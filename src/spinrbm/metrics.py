@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import check_spins, visible_mean
-from .sampling import gibbs_chain, sample_hidden
+from .sampling import gibbs_chain, make_rng, sample_hidden
 
 RECON_ERROR_DEFINITION = (
     "recon_error = mean(|v - tanh(b + W h)|) / 2 with h ~ p(h|v), one draw"
@@ -77,8 +77,5 @@ def recon_error_vs_steps(model, stats, batch_size, steps, rng):
     for each k in steps (sorted ascending), along one chain.  Each evaluation
     samples from its own stream, keyed by a draw from rng; the measurement's
     own draws stay out of the chain."""
-    out = []
-    for k, v in gibbs_chain(model, stats, batch_size, steps, rng):
-        eval_rng = np.random.Generator(np.random.Philox(key=rng.integers(1 << 62)))
-        out.append((k, recon_error(model, v, eval_rng)))
-    return out
+    return [(k, recon_error(model, v, make_rng(rng.integers(1 << 62))))
+            for k, v in gibbs_chain(model, stats, batch_size, steps, rng)]

@@ -10,6 +10,7 @@ exp(-U), so p(h_i = +1 | v) = sigma(2 * phi_i) with phi = W^T (v - mu).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,11 @@ class RbmModel:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mu", mu)
 
+    @cached_property
+    def W32(self):
+        """W cast to float32 for the samplers, once per model."""
+        return np.asarray(self.W, dtype=np.float32)
+
     @property
     def n_v(self):
         return self.W.shape[0]
@@ -66,6 +72,8 @@ class GradientPair:
 def check_spins(arr, n_units=None, name="batch"):
     """Validate a +/-1 spin array and return it as int8 (copies only if needed)."""
     arr = np.asarray(arr)
+    if arr.ndim == 0:
+        raise ValueError(f"{name}: expected an array of spins, got a scalar")
     if n_units is not None and arr.shape[-1] != n_units:
         raise ValueError(f"{name}: expected {n_units} units, got shape {arr.shape}")
     if not np.all(np.abs(arr) == 1):

@@ -65,10 +65,10 @@ def sample_hidden(model, v_batch, rng):
 
     The field W^T (v - mu) and the uniforms are float32.
     """
-    v = check_spins(np.atleast_2d(np.asarray(v_batch)), model.n_v, "v")
+    v = np.atleast_2d(check_spins(v_batch, model.n_v, "v"))
     vc = v.astype(np.float32)
     vc -= model.mu.astype(np.float32)
-    phi = vc @ model.W.astype(np.float32)
+    phi = vc @ model.W32
     return draw_spins(phi, rng.random(phi.shape, dtype=np.float32))
 
 
@@ -77,8 +77,8 @@ def sample_visible(model, h_batch, rng):
 
     The field b + W h and the uniforms are float32.
     """
-    h = check_spins(np.atleast_2d(np.asarray(h_batch)), model.n_h, "h")
-    field = h.astype(np.float32) @ model.W.astype(np.float32).T
+    h = np.atleast_2d(check_spins(h_batch, model.n_h, "h"))
+    field = h.astype(np.float32) @ model.W32.T
     field += model.b.astype(np.float32)
     return draw_spins(field, rng.random(field.shape, dtype=np.float32))
 
@@ -87,7 +87,7 @@ def gibbs_steps(model, v0, k, rng):
     """k full block-Gibbs sweeps (h|v then v|h); k=0 returns v0 unchanged."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    v = check_spins(np.atleast_2d(np.asarray(v0)), model.n_v, "v0")
+    v = np.atleast_2d(check_spins(v0, model.n_v, "v0"))
     for _ in range(k):
         h = sample_hidden(model, v, rng)
         v = sample_visible(model, h, rng)
@@ -110,7 +110,7 @@ def sample_phi(model, stats, batch, rng):
     if Q.shape[0] != model.n_v:
         raise ValueError(
             f"Q rows {Q.shape[0]} do not match model n_v {model.n_v}")
-    A = Q.T @ model.W.astype(np.float32)
+    A = Q.T @ model.W32
     C = (A.T @ A).astype(np.float64)
     try:
         L = np.linalg.cholesky(C)
@@ -121,22 +121,19 @@ def sample_phi(model, stats, batch, rng):
     return z @ L.T.astype(np.float32)
 
 
-def belief_generate(model, stats, batch, rng, refine_k=0):
+def belief_generate(model, stats, batch, rng):
     """Approximate model samples in one backward pass.
 
     Step 1: phi ~ N(0, W^T Sigma W), drawn in n_h dimensions.
     Step 2: h_i = +1 w.p. sigma(2 phi_i).
     Step 3: v ~ p(v|h).
-    Then refine_k optional Gibbs sweeps (0 during CD-0 training).
+    Refine with gibbs_steps, or walk a chain with gibbs_chain.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
     phi = sample_phi(model, stats, batch, rng)
     h = draw_spins(phi, rng.random(phi.shape, dtype=np.float32))
-    v = sample_visible(model, h, rng)
-    if refine_k:
-        v = gibbs_steps(model, v, refine_k, rng)
-    return v
+    return sample_visible(model, h, rng)
 
 
 def gibbs_chain(model, stats, batch, steps, rng):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataStats, Dataset, minibatches
+from .io_util import atomic_write_bytes
 from .metrics import MetricsRecord, energy_coefficient, recon_error
 from .model import RbmModel, nll_gradient
 from .sampling import belief_generate, gibbs_steps, make_rng
@@ -149,7 +150,7 @@ def _split_holdout(dataset, config):
 
 def _negative_batch(model, stats, data_batch, config, rng):
     if config.negative_mode == "belief_cd0":
-        return belief_generate(model, stats, data_batch.shape[0], rng, refine_k=0)
+        return belief_generate(model, stats, data_batch.shape[0], rng)
     return gibbs_steps(model, data_batch, config.k, rng)
 
 
@@ -161,8 +162,6 @@ def train(dataset, stats, config, on_epoch=None):
     Metrics are logged on a held-out fold every eval_every epochs.
     ``on_epoch(model, adam_state, record)`` is invoked at each logged epoch.
     """
-    from .data import minibatches  # local import to avoid cycle at module load
-
     train_set, holdout = _split_holdout(dataset, config)
     if train_set.n < config.batch_size:
         raise ValueError(
@@ -205,7 +204,7 @@ def _evaluate(model, stats, holdout, config, epoch, t0):
     rng = make_rng(config.seed, _STREAM_METRIC, epoch)
     n = min(config.eval_batch, holdout.shape[0])
     data_batch = holdout[:n]
-    gen = belief_generate(model, stats, n, rng, refine_k=0)
+    gen = belief_generate(model, stats, n, rng)
     coeff = energy_coefficient(data_batch, gen)
     err = recon_error(model, data_batch, rng)
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
@@ -253,9 +252,7 @@ def save_checkpoint(model, adam_state, config, stats, path):
     config_json = json.dumps(config.__dict__, sort_keys=True).encode()
     parts.append(struct.pack("<I", len(config_json)))
     parts.append(config_json)
-    blob = b"".join(parts)
-    from .io_util import atomic_write_bytes
-    atomic_write_bytes(path, blob)
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_checkpoint(path):
@@ -273,8 +270,6 @@ def load_checkpoint(path):
 
 
 def _parse_checkpoint(buf):
-    from .data import DataStats
-
     if buf[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {buf[:4]!r}")
     (version, n_v, n_h, r), off = _unpack("<IIII", buf, 4)

@@ -81,11 +81,6 @@ def idx_image_bytes(images):
     return struct.pack(">IIII", 0x803, n, rows, cols) + images.tobytes()
 
 
-def idx_label_bytes(labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">II", 0x801, len(labels)) + labels.tobytes()
-
-
 def synthetic_digits(rng, n, side=28, n_templates=10, flip=0.05):
     """Digit-like binary images: smooth random blob templates plus flip noise."""
     yy, xx = np.mgrid[0:side, 0:side]
@@ -111,9 +106,8 @@ def rng():
 
 @pytest.fixture
 def synthetic_idx_dir(tmp_path):
-    """Directory with IDX train images/labels of synthetic digit-like data."""
+    """Directory with an IDX train image file of synthetic digit-like data."""
     gen = np.random.default_rng(99)
-    images, labels = synthetic_digits(gen, 2000)
+    images, _ = synthetic_digits(gen, 2000)
     (tmp_path / "train-images-idx3-ubyte").write_bytes(idx_image_bytes(images))
-    (tmp_path / "train-labels-idx1-ubyte").write_bytes(idx_label_bytes(labels))
     return tmp_path

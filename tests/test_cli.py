@@ -97,6 +97,21 @@ class TestTrain:
         assert_error_line(main(["train", "--config", str(conf)]), capsys,
                           "'epochs'")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_subset_rejected(self, synthetic_idx_dir, tmp_path,
+                                      capsys, source):
+        out = tmp_path / "run"
+        args = ["train", "--data", str(synthetic_idx_dir), "--out", str(out),
+                *TRAIN_FLAGS]
+        if source == "flag":
+            args += ["--subset", "-5"]
+        else:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"subset": -5}))
+            args += ["--config", str(conf)]
+        assert_error_line(main(args), capsys, "--subset")
+        assert not out.exists()
+
     def test_divergence_saves_matching_adam_state(self, synthetic_idx_dir,
                                                   tmp_path, capsys,
                                                   monkeypatch):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import idx_image_bytes, idx_label_bytes
+from conftest import idx_image_bytes
 from spinrbm.data import (_ROWS, Dataset, IdxParseError, binarize,
                           compute_stats, load_idx, minibatches)
 
@@ -31,11 +31,6 @@ class TestLoadIdx:
         p.write_bytes(gzip.compress(idx_image_bytes(images)))
         assert np.array_equal(load_idx(p), images)
 
-    def test_labels(self, tmp_path):
-        p = tmp_path / "lbl"
-        p.write_bytes(idx_label_bytes([3, 1, 4]))
-        assert load_idx(p).tolist() == [3, 1, 4]
-
     def test_truncated_payload(self, tmp_path):
         payload = struct.pack(">IIII", 0x803, 1, 2, 2) + bytes([0, 1])
         p = tmp_path / "img"
@@ -51,9 +46,12 @@ class TestLoadIdx:
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "img"
-        p.write_bytes(struct.pack(">IIII", 0xDEAD, 1, 1, 1) + b"\x00")
-        with pytest.raises(IdxParseError, match="bad magic"):
-            load_idx(p)
+        for payload in (struct.pack(">IIII", 0xDEAD, 1, 1, 1) + b"\x00",
+                        # an IDX label file: only image files are read
+                        struct.pack(">II", 0x801, 3) + bytes([3, 1, 4])):
+            p.write_bytes(payload)
+            with pytest.raises(IdxParseError, match="bad magic"):
+                load_idx(p)
 
 
 class TestBinarize:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import (brute_hidden_mean, brute_nll, random_model,
                       random_spins)
+from spinrbm.data import Dataset
+from spinrbm.metrics import energy_coefficient, recon_error
 from spinrbm.model import (RbmModel, energy, exact_nll, exact_nll_gradient,
                            hidden_field, hidden_mean, nll_gradient,
                            visible_field)
+from spinrbm.sampling import gibbs_steps, make_rng, sample_hidden, sample_visible
 
 
 def tiny(n_v=3, n_h=2, seed=0, **kw):
@@ -220,3 +225,52 @@ class TestModelValidation:
         m = tiny()
         with pytest.raises(ValueError, match="exactly -1 or \\+1"):
             energy(m, [1, 0, 1], [1, 1])
+
+    def test_float32_weights_cached_per_model(self, rng):
+        m = random_model(rng, 5, 3)
+        assert m.W32.dtype == np.float32
+        assert m.W32.tobytes() == m.W.astype(np.float32).tobytes()
+        assert m.W32 is m.W32
+        scaled = replace(m, W=2.0 * m.W)
+        assert scaled.W32 is not m.W32
+        assert scaled.W32.tobytes() == (2.0 * m.W).astype(np.float32).tobytes()
+
+
+# Every public function that takes spins, with the bad input x in one spin
+# argument, and the width that argument must have (None: any width, but one
+# width for all rows).  Model: n_v = 3, n_h = 2.
+_M = tiny(3, 2)
+_V = np.ones((2, 3), dtype=np.int8)
+_SPIN_ARGUMENTS = [
+    ("sample_hidden", 3, lambda x: sample_hidden(_M, x, make_rng(0))),
+    ("sample_visible", 2, lambda x: sample_visible(_M, x, make_rng(0))),
+    ("gibbs_steps", 3, lambda x: gibbs_steps(_M, x, 1, make_rng(0))),
+    ("nll_gradient_data", 3, lambda x: nll_gradient(_M, x, _V)),
+    ("nll_gradient_model", 3, lambda x: nll_gradient(_M, _V, x)),
+    ("exact_nll", 3, lambda x: exact_nll(_M, x)),
+    ("exact_nll_gradient", 3, lambda x: exact_nll_gradient(_M, x)),
+    ("energy_v", 3, lambda x: energy(_M, x, [1, 1])),
+    ("energy_h", 2, lambda x: energy(_M, [1, 1, 1], x)),
+    ("hidden_field", 3, lambda x: hidden_field(_M, x)),
+    ("visible_field", 2, lambda x: visible_field(_M, x)),
+    ("energy_coefficient_x", 3, lambda x: energy_coefficient(x, _V)),
+    ("energy_coefficient_y", 3, lambda x: energy_coefficient(_V, x)),
+    ("recon_error", 3, lambda x: recon_error(_M, x, make_rng(0))),
+    ("Dataset", None, lambda x: Dataset(spins=x)),
+]
+
+
+@pytest.mark.parametrize("width, call", [
+    pytest.param(width, call, id=name) for name, width, call in _SPIN_ARGUMENTS])
+def test_spin_arguments_rejected_at_the_boundary(width, call):
+    n = width or 3
+    zero = np.ones((2, n), dtype=np.int8)
+    zero[1, 0] = 0
+    with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+        call(zero)
+    wrong_width = (np.ones((2, width + 1), dtype=np.int8) if width
+                   else [[1, -1, 1], [1, -1]])  # rows of unequal width
+    with pytest.raises(ValueError):
+        call(wrong_width)
+    with pytest.raises(ValueError, match="scalar"):
+        call(1)

@@ -231,7 +231,8 @@ class TestBeliefGenerate:
     def test_output_is_spin_batch(self, rng):
         m = random_model(rng, 5, 3)
         stats = stats_for(m, rng)
-        v = belief_generate(m, stats, 17, make_rng(13), refine_k=2)
+        gen = make_rng(13)
+        v = gibbs_steps(m, belief_generate(m, stats, 17, gen), 2, gen)
         assert v.shape == (17, 5)
         assert set(np.unique(v)) <= {-1, 1}
 
@@ -260,7 +261,8 @@ class TestBeliefGenerate:
         m = RbmModel(W=W, b=np.zeros(n_v), mu=np.zeros(n_v))
         data = np.vstack([np.ones((50, n_v)), -np.ones((50, n_v))]).astype(np.int8)
         stats = compute_stats(Dataset(spins=data))
-        v = belief_generate(m, stats, 400, make_rng(16), refine_k=8)
+        gen = make_rng(16)
+        v = gibbs_steps(m, belief_generate(m, stats, 400, gen), 8, gen)
         agreement = np.abs(v.sum(axis=1)) / n_v
         assert (agreement == 1.0).mean() >= 0.9
 
