@@ -1,9 +1,13 @@
 """``rbm`` command line: train, sample, reconstruct, eval, weights.
 
-Every flag except ``--preset`` and ``--config``, which are command-line
-only, has a config-file equivalent: ``--config run.json`` supplies a flat
-JSON object keyed by flag name (dashes or underscores); explicit CLI flags
-win over the file, which wins over the preset.
+``OPTIONS`` declares every option of every command once, by its default.
+Each option is both a ``--flag`` and a config-file key of the same type
+(``str`` where the default is None, and then the option is required):
+``--config run.json`` supplies a flat JSON object keyed by option name
+(dashes or underscores).  Explicit CLI flags win over the file, which wins
+over the train ``--preset``; ``--preset`` and ``--config`` are
+command-line only.  ``reconstruct`` and ``eval`` binarize their data at
+the threshold recorded in the checkpoint.
 """
 
 import argparse
@@ -28,9 +32,6 @@ from .training import (NEGATIVE_MODES, AdamState, TrainConfig,
                        TrainingDiverged, load_checkpoint, save_checkpoint,
                        train)
 
-DEFAULT_STEPS = (0, 1, 2, 4, 8, 16, 32)
-EVAL_STEPS = (0, 2, 4, 8, 16, 32)
-
 PRESETS = {
     "paper": dict(n_hidden=512, epochs=300, batch_size=1024,
                   learning_rate=1e-3, init_std=0.1, subset=0),
@@ -46,6 +47,22 @@ _IMAGE_NAMES = ("train-images-idx3-ubyte", "train-images.idx3-ubyte")
 
 # rbm train flag of each TrainConfig field whose name differs from it
 _TRAIN_FLAGS = {"binarize_threshold": "threshold"}
+
+# each command's options and their defaults; a None default is required
+OPTIONS = {
+    "train": dict(data=None, out="run", subset=0,
+                  **{_TRAIN_FLAGS.get(f.name, f.name): f.default
+                     for f in fields(TrainConfig)}),
+    "sample": dict(checkpoint=None, out="samples.pgm", steps="0,1,2,4,8,16,32",
+                   chains=16, seed=0),
+    "reconstruct": dict(checkpoint=None, data=None, out="reconstructions.pgm",
+                        count=16, seed=0),
+    "eval": dict(checkpoint=None, data=None, out="eval.csv",
+                 steps="0,2,4,8,16,32", batch_size=1024, seed=0),
+    "weights": dict(checkpoint=None, out="weights.pgm", count=64, seed=0),
+}
+
+_CHOICES = {"negative_mode": NEGATIVE_MODES}
 
 
 class CliError(Exception):
@@ -81,10 +98,16 @@ def _parse_steps(text):
     return steps
 
 
+def _option_type(default):
+    """Type of an option's flag and config value: its default's, else str."""
+    return str if default is None else type(default)
+
+
 def _check_config_value(key, value, default):
-    """A config-file value must have the JSON type of the flag it stands for
-    (a number for float flags, an integer for int flags, else a string)."""
-    kinds = {float: (int, float), int: (int,)}.get(type(default), (str,))
+    """A config-file value must have the type of the flag it stands for; an
+    integer also passes for a float."""
+    kind = _option_type(default)
+    kinds = (int, float) if kind is float else (kind,)
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise CliError(f"config key {key!r} must be a {kinds[-1].__name__}, "
                        f"got {value!r}")
@@ -96,11 +119,11 @@ def _check_count(count):
 
 
 def _resolve(args):
-    """Layer option sources: base defaults < preset < config file < CLI flags."""
-    merged = dict(args._defaults)
-    preset = getattr(args, "preset", None)
-    if preset:
-        merged.update({k: v for k, v in PRESETS[preset].items() if k in merged})
+    """Layer option sources: OPTIONS < preset < config file < CLI flags."""
+    options = OPTIONS[args.command]
+    merged = dict(options)
+    if getattr(args, "preset", None):
+        merged.update(PRESETS[args.preset])
     if args.config:
         with open(args.config) as fh:
             file_conf = json.load(fh)
@@ -108,14 +131,15 @@ def _resolve(args):
             raise CliError(f"{args.config}: config must be a JSON object")
         for key, value in file_conf.items():
             key = key.replace("-", "_")
-            if key not in merged:
+            if key not in options:
                 raise CliError(f"unknown config key {key!r} for {args.command}")
-            _check_config_value(key, value, args._defaults[key])
+            _check_config_value(key, value, options[key])
             merged[key] = value
-    for key in merged:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
+    for key in options:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+        if merged[key] is None:
+            raise CliError(f"--{key.replace('_', '-')} is required")
     return argparse.Namespace(**merged)
 
 
@@ -143,15 +167,16 @@ def _thread_setting():
 
 
 def cmd_train(args):
+    """train a model from IDX data"""
     if args.subset < 0:
         raise CliError(f"--subset must be >= 0 (0 = all), got {args.subset}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset, img_path = _load_dataset(args.data, args.threshold,
-                                      subset=args.subset)
     config = TrainConfig(**{
         f.name: getattr(args, _TRAIN_FLAGS.get(f.name, f.name))
         for f in fields(TrainConfig)})
+    dataset, img_path = _load_dataset(args.data, config.binarize_threshold,
+                                      subset=args.subset)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     checkpoint_path = out / "checkpoint.rbm"
     csv_path = out / "metrics.csv"
@@ -201,6 +226,7 @@ def _write_metrics_csv(path, metrics):
 
 
 def cmd_sample(args):
+    """sample-evolution grid from a checkpoint"""
     model, _, _, stats = load_checkpoint(args.checkpoint)
     steps = _parse_steps(args.steps)
     side = _image_side(model.n_v)
@@ -214,9 +240,10 @@ def cmd_sample(args):
 
 
 def cmd_reconstruct(args):
+    """originals vs one-step reconstructions"""
     _check_count(args.count)
-    model, _, _, _ = load_checkpoint(args.checkpoint)
-    dataset, _ = _load_dataset(args.data, args.threshold)
+    model, _, config, _ = load_checkpoint(args.checkpoint)
+    dataset, _ = _load_dataset(args.data, config.binarize_threshold)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5B)
     idx = rng.choice(dataset.n, size=args.count, replace=False)
@@ -232,8 +259,9 @@ def cmd_reconstruct(args):
 
 
 def cmd_eval(args):
-    model, _, _, stats = load_checkpoint(args.checkpoint)
-    dataset, _ = _load_dataset(args.data, args.threshold)
+    """reconstruction error vs Gibbs steps"""
+    model, _, config, stats = load_checkpoint(args.checkpoint)
+    dataset, _ = _load_dataset(args.data, config.binarize_threshold)
     steps = _parse_steps(args.steps)
     rng = make_rng(args.seed, 0x5C)
     n = min(args.batch_size, dataset.n)
@@ -250,6 +278,7 @@ def cmd_eval(args):
 
 
 def cmd_weights(args):
+    """tile a random subset of weight columns"""
     _check_count(args.count)
     model, _, _, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
@@ -266,81 +295,26 @@ def cmd_weights(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON file of flag defaults")
+_COMMANDS = {"train": cmd_train, "sample": cmd_sample,
+             "reconstruct": cmd_reconstruct, "eval": cmd_eval,
+             "weights": cmd_weights}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="rbm",
                                      description="Spin RBM trained with CD-0")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a model from IDX data")
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--n-hidden", dest="n_hidden", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--init-std", dest="init_std", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--negative-mode", dest="negative_mode",
-                   choices=NEGATIVE_MODES, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=None)
-    p.add_argument("--eval-batch", dest="eval_batch", type=int, default=None)
-    p.add_argument("--subset", type=int, default=None,
-                   help="use only the first N samples (0 = all)")
-    _add_common(p)
-    p.set_defaults(func=cmd_train, _defaults=dict(
-        data=None, out="run", subset=0,
-        **{_TRAIN_FLAGS.get(f.name, f.name): f.default
-           for f in fields(TrainConfig)}))
-
-    p = sub.add_parser("sample", help="sample-evolution grid from a checkpoint")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--steps", default=None)
-    p.add_argument("--chains", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_sample, _defaults=dict(
-        checkpoint=None, out="samples.pgm",
-        steps=",".join(map(str, DEFAULT_STEPS)), chains=16, seed=0))
-
-    p = sub.add_parser("reconstruct", help="originals vs one-step reconstructions")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_reconstruct, _defaults=dict(
-        checkpoint=None, data=None, out="reconstructions.pgm", count=16,
-        threshold=0.5, seed=0))
-
-    p = sub.add_parser("eval", help="reconstruction error vs Gibbs steps")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--steps", default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval, _defaults=dict(
-        checkpoint=None, data=None, out="eval.csv",
-        steps=",".join(map(str, EVAL_STEPS)), batch_size=1024,
-        threshold=0.5, seed=0))
-
-    p = sub.add_parser("weights", help="tile a random subset of weight columns")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--count", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_weights, _defaults=dict(
-        checkpoint=None, out="weights.pgm", count=64, seed=0))
-
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        for name, default in options.items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name,
+                           type=_option_type(default),
+                           choices=_CHOICES.get(name),
+                           help="required" if default is None
+                           else f"default {default}")
+        if command == "train":
+            p.add_argument("--preset", choices=sorted(PRESETS))
+        p.add_argument("--config", help="JSON file of option values")
     return parser
 
 
@@ -348,11 +322,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        ns = _resolve(args)
-        for required in ("data", "checkpoint", "out"):
-            if hasattr(ns, required) and getattr(ns, required) is None:
-                raise CliError(f"--{required} is required")
-        return args.func(ns)
+        return _COMMANDS[args.command](_resolve(args))
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

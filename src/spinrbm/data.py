@@ -82,7 +82,7 @@ def load_idx(path):
         raise IdxParseError(f"{path}: truncated dimensions at offset 4")
     dims = [int.from_bytes(raw[4 + 4 * i: 8 + 4 * i], "big") for i in range(3)]
     count = int(np.prod(dims, dtype=np.int64))
-    if count < 0 or count > (1 << 40):
+    if count < 0 or count > (1 << 40) or 0 in dims[1:]:
         raise IdxParseError(f"{path}: implausible dimensions {dims} at offset 4")
     if len(raw) != header_len + count:
         raise IdxParseError(

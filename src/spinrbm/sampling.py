@@ -51,10 +51,13 @@ def draw_spins(phi, u):
 def make_rng(seed, *stream):
     """Deterministic Generator for a (seed, stream...) key.
 
-    Philox keys are 128-bit; the stream ids are folded into the upper word
-    so distinct lanes never share a counter sequence.
+    Philox keys are 128-bit; the stream ids are folded into the key, and
+    distinct keys can fold alike: (0, 161) gives the stream of (162,).  The
+    seed must lie in [0, 2**64): any other is rejected, not wrapped.
     """
-    key = int(seed) & 0xFFFFFFFFFFFFFFFF
+    key = int(seed)
+    if not 0 <= key < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     for part in stream:
         key = (key * 0x9E3779B97F4A7C15 + int(part) + 1) & ((1 << 128) - 1)
     return np.random.Generator(np.random.Philox(key=key))

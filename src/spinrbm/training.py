@@ -49,14 +49,16 @@ class TrainConfig:
         if min(self.n_hidden, self.epochs + 1, self.batch_size,
                self.eval_every, self.eval_batch) < 1:
             raise ValueError("counts must be >= 1 (epochs >= 0)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.init_std < 0:
-            raise ValueError("init_std must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0, "
+                             f"got {self.learning_rate}")
+        if not 0 <= self.init_std < math.inf:
+            raise ValueError(f"init_std must be finite and >= 0, got {self.init_std}")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
+        make_rng(self.seed)  # rejects a seed outside [0, 2**64)
 
 
 @dataclass

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import spinrbm.training
-from conftest import random_model, with_config
-from spinrbm.cli import main
+from conftest import idx_image_bytes, random_model, with_config
+from spinrbm.cli import OPTIONS, main
 from spinrbm.data import DataStats
 from spinrbm.images import read_pgm
 from spinrbm.model import GradientPair
@@ -21,6 +21,15 @@ def assert_error_line(code, capsys, reason):
     assert code == 1
     assert err.startswith("error: ") and reason in err
     assert "Traceback" not in err
+
+
+def tiny_checkpoint(path, **config):
+    """A checkpoint of a 2x2-pixel model (n_v = 4, n_h = 3)."""
+    model = random_model(np.random.default_rng(0), 4, 3)
+    save_checkpoint(model, AdamState.zeros(4, 3),
+                    TrainConfig(n_hidden=3, **config),
+                    DataStats(mu=model.mu, Q=np.eye(4)), path)
+    return path
 
 
 @pytest.fixture
@@ -110,6 +119,27 @@ class TestTrain:
             conf.write_text(json.dumps({"subset": -5}))
             args += ["--config", str(conf)]
         assert_error_line(main(args), capsys, "--subset")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,reason", [
+        ("--init-std", "nan", "init_std must be finite"),
+        ("--threshold", "1.5", "threshold must lie in (0, 1)")],
+        ids=["init_std", "threshold"])
+    def test_bad_value_leaves_no_output(self, synthetic_idx_dir, tmp_path,
+                                        capsys, flag, value, reason):
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), *TRAIN_FLAGS, flag, value])
+        assert_error_line(code, capsys, reason)
+        assert not out.exists()
+
+    def test_images_without_pixels_rejected(self, tmp_path, capsys):
+        data = tmp_path / "img"
+        data.write_bytes(idx_image_bytes(np.zeros((100, 0, 0))))
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     *TRAIN_FLAGS])
+        assert_error_line(code, capsys, "implausible dimensions [100, 0, 0]")
         assert not out.exists()
 
     def test_divergence_saves_matching_adam_state(self, synthetic_idx_dir,
@@ -267,3 +297,68 @@ class TestWeights:
                          "--out", str(out), "--seed", "4"]) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command,name", [
+        (command, name) for command, options in OPTIONS.items()
+        for name, default in options.items() if default is None])
+    def test_required_option_missing(self, tmp_path, capsys, command, name):
+        args = [command]
+        for other, default in OPTIONS[command].items():
+            if default is None and other != name:
+                args += [f"--{other}", str(tmp_path / other)]
+        assert_error_line(main(args), capsys, f"--{name} is required")
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name) for command, options in OPTIONS.items()
+        for name in options])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys,
+                                                 command, name):
+        default = OPTIONS[command][name]
+        wrong = {int: 1.5, float: "0.5"}.get(type(default), 7)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({name: wrong}))
+        assert_error_line(main([command, "--config", str(conf)]), capsys,
+                          f"config key {name!r}")
+
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_seed_outside_64_bits_rejected(self, synthetic_idx_dir, tmp_path,
+                                           capsys, command):
+        out = tmp_path / "out"
+        if command == "train":
+            args = ["train", "--data", str(synthetic_idx_dir), *TRAIN_FLAGS]
+        else:
+            args = ["sample", "--checkpoint",
+                    str(tiny_checkpoint(tmp_path / "ck.rbm"))]
+        code = main([*args, "--out", str(out), "--seed", "-1"])
+        assert_error_line(code, capsys, "seed must lie in [0, 2**64)")
+        assert not out.exists()
+
+
+class TestThresholdFromCheckpoint:
+    def test_reconstruct_binarizes_at_checkpoint_threshold(self, tmp_path):
+        ck = tiny_checkpoint(tmp_path / "ck.rbm", binarize_threshold=0.9)
+        data = tmp_path / "img"
+        data.write_bytes(idx_image_bytes(np.full((10, 2, 2), 128)))
+        out = tmp_path / "rec.pgm"
+        assert main(["reconstruct", "--checkpoint", str(ck), "--data",
+                     str(data), "--out", str(out), "--count", "4"]) == 0
+        # 128/255 lies above 0.5 but not above 0.9: every original is -1
+        # (black), between the 1-px mid-gray padding
+        originals = read_pgm(out)[1:3]
+        assert np.unique(originals).tolist() == [0, 128]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "eval"])
+    def test_no_threshold_flag(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--checkpoint", "ck", "--data", "d",
+                  "--threshold", "0.5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["reconstruct", "eval"])
+    def test_no_threshold_config_key(self, tmp_path, capsys, command):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"threshold": 0.5}))
+        assert_error_line(main([command, "--config", str(conf)]), capsys,
+                          "unknown config key 'threshold'")

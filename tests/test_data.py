@@ -53,6 +53,13 @@ class TestLoadIdx:
             with pytest.raises(IdxParseError, match="bad magic"):
                 load_idx(p)
 
+    def test_images_without_pixels(self, tmp_path):
+        p = tmp_path / "img"
+        for dims in ((100, 0, 0), (100, 28, 0), (100, 0, 28)):
+            p.write_bytes(struct.pack(">IIII", 0x803, *dims))
+            with pytest.raises(IdxParseError, match="implausible dimensions"):
+                load_idx(p)
+
 
 class TestBinarize:
     def test_all_zero(self):

@@ -301,3 +301,12 @@ def test_make_rng_streams_differ():
     a = make_rng(5, 1).random(4)
     b = make_rng(5, 2).random(4)
     assert not np.allclose(a, b)
+
+
+def test_make_rng_rejects_seed_outside_64_bits():
+    for seed in (-1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            make_rng(seed)
+    top = 2 ** 64 - 1
+    assert make_rng(top).random() == \
+        np.random.Generator(np.random.Philox(key=top)).random()

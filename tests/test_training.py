@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,12 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             small_config(negative_mode="pcd")
+
+    @pytest.mark.parametrize("field", ["learning_rate", "init_std"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_config(**{field: value})
 
     def test_negative_k(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
