@@ -29,8 +29,8 @@ from .metrics import RECON_ERROR_DEFINITION, energy_coefficient, recon_error
 from .model import visible_mean
 from .sampling import gibbs_chain, make_rng, sample_hidden
 from .training import (NEGATIVE_MODES, AdamState, TrainConfig,
-                       TrainingDiverged, load_checkpoint, save_checkpoint,
-                       train)
+                       TrainingDiverged, holdout_size, load_checkpoint,
+                       save_checkpoint, train)
 
 PRESETS = {
     "paper": dict(n_hidden=512, epochs=300, batch_size=1024,
@@ -175,6 +175,9 @@ def cmd_train(args):
         for f in fields(TrainConfig)})
     dataset, img_path = _load_dataset(args.data, config.binarize_threshold,
                                       subset=args.subset)
+    # size errors end the run before --out exists
+    stats = compute_stats(dataset)
+    holdout_size(dataset.n, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -195,7 +198,6 @@ def cmd_train(args):
     }
     atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    stats = compute_stats(dataset)
     last = {"adam": None}
 
     def on_epoch(model, adam, record):

@@ -52,6 +52,19 @@ class DataStats:
     mu: np.ndarray
     Q: np.ndarray
 
+    def __post_init__(self):
+        mu = np.asarray(self.mu, dtype=np.float64)
+        Q = np.asarray(self.Q, dtype=np.float64)
+        if mu.ndim != 1 or not np.all(np.isfinite(mu)):
+            raise ValueError(f"mu must be a finite vector, got shape {mu.shape}")
+        if Q.ndim != 2 or Q.shape[0] != mu.shape[0]:
+            raise ValueError(f"Q shape {Q.shape} inconsistent with mu {mu.shape}")
+        # NaN fails the comparison too; the sampler casts Q to float32
+        if not np.all(np.abs(Q) <= np.finfo(np.float32).max):
+            raise ValueError("Q entries must be finite and within float32 range")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "Q", Q)
+
     @cached_property
     def Q32(self):
         """Q cast to float32 for the sampler, once per DataStats."""

@@ -1,8 +1,8 @@
 """Block Gibbs kernels and the belief-generation approximate sampler.
 
-All randomness flows through numpy Generators backed by the Philox
-counter-based bit generator, so every sampler is reproducible from
-(seed, inputs) and independent streams are cheap to derive.
+All randomness flows through make_rng: SFC64 Generators keyed by a numpy
+SeedSequence, so every sampler is reproducible from (seed, inputs) and
+distinct (seed, stream...) keys give independent streams.
 
 The samplers compute in float32 from start to finish: their output is
 spins, and float32 moves each spin probability by rounding only (~6e-8).
@@ -49,18 +49,16 @@ def draw_spins(phi, u):
 
 
 def make_rng(seed, *stream):
-    """Deterministic Generator for a (seed, stream...) key.
+    """Deterministic SFC64 Generator for a (seed, stream...) key.
 
-    Philox keys are 128-bit; the stream ids are folded into the key, and
-    distinct keys can fold alike: (0, 161) gives the stream of (162,).  The
-    seed must lie in [0, 2**64): any other is rejected, not wrapped.
+    SeedSequence hashes the whole key, so distinct keys give independent
+    streams.  The seed must lie in [0, 2**64) and each stream tag must be a
+    non-negative int: any other is rejected, not wrapped.
     """
-    key = int(seed)
-    if not 0 <= key < 1 << 64:
+    if not 0 <= int(seed) < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    for part in stream:
-        key = (key * 0x9E3779B97F4A7C15 + int(part) + 1) & ((1 << 128) - 1)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=stream)))
 
 
 def sample_hidden(model, v_batch, rng):
@@ -107,7 +105,7 @@ def sample_phi(model, stats, batch, rng):
     or n_h > rank Sigma).  A, C, z and phi are float32; only the factoring
     of C runs in float64.
     """
-    if stats is None or stats.Q is None:
+    if stats is None:
         raise ValueError("data statistics with a covariance factor Q required")
     Q = stats.Q32
     if Q.shape[0] != model.n_v:

@@ -139,9 +139,23 @@ def adam_step(state, grads, lr, params):
     return (new_b, new_W), new_state
 
 
+def holdout_size(n, config):
+    """Rows of the held-out fold of an n-row dataset.
+
+    Raises ValueError when the training split left over is smaller than
+    one batch.
+    """
+    n_hold = min(config.eval_batch, n // 10)
+    if n - n_hold < config.batch_size:
+        raise ValueError(
+            f"training split holds {n - n_hold} rows after the held-out "
+            f"fold, fewer than batch_size {config.batch_size}")
+    return n_hold
+
+
 def _split_holdout(dataset, config):
     """Deterministic held-out fold for metric logging (never trained on)."""
-    n_hold = min(config.eval_batch, dataset.n // 10)
+    n_hold = holdout_size(dataset.n, config)
     if n_hold == 0:
         return dataset, dataset.spins  # tiny dataset: log metrics on train data
     order = make_rng(config.seed, _STREAM_SPLIT).permutation(dataset.n)
@@ -165,10 +179,6 @@ def train(dataset, stats, config, on_epoch=None):
     ``on_epoch(model, adam_state, record)`` is invoked at each logged epoch.
     """
     train_set, holdout = _split_holdout(dataset, config)
-    if train_set.n < config.batch_size:
-        raise ValueError(
-            f"training split holds {train_set.n} rows after the held-out "
-            f"fold, fewer than batch_size {config.batch_size}")
     model = init_model(dataset.n_v, config.n_hidden, config.init_std,
                        stats.mu, config.seed)
     adam = AdamState.zeros(dataset.n_v, config.n_hidden)
@@ -277,6 +287,8 @@ def _parse_checkpoint(buf):
     (version, n_v, n_h, r), off = _unpack("<IIII", buf, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    if min(n_v, n_h) < 1:
+        raise ValueError(f"empty layer (n_v {n_v}, n_h {n_h}) at offset 8")
     b, off = _unpack_array(buf, off, (n_v,))
     W, off = _unpack_array(buf, off, (n_v, n_h))
     mu, off = _unpack_array(buf, off, (n_v,))

@@ -8,7 +8,7 @@ from conftest import idx_image_bytes, random_model, with_config
 from spinrbm.cli import OPTIONS, main
 from spinrbm.data import DataStats
 from spinrbm.images import read_pgm
-from spinrbm.model import GradientPair
+from spinrbm.model import GradientPair, RbmModel
 from spinrbm.training import (AdamState, TrainConfig, load_checkpoint,
                               save_checkpoint)
 
@@ -123,8 +123,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value,reason", [
         ("--init-std", "nan", "init_std must be finite"),
-        ("--threshold", "1.5", "threshold must lie in (0, 1)")],
-        ids=["init_std", "threshold"])
+        ("--threshold", "1.5", "threshold must lie in (0, 1)"),
+        ("--subset", "1", "need at least 2 samples"),
+        ("--subset", "60", "training split holds 54 rows")],
+        ids=["init_std", "threshold", "subset_1", "subset_60"])
     def test_bad_value_leaves_no_output(self, synthetic_idx_dir, tmp_path,
                                         capsys, flag, value, reason):
         out = tmp_path / "run"
@@ -198,6 +200,18 @@ class TestSample:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_checkpoint_with_unusable_q_rejected(self, tmp_path, capsys, value):
+        path = tiny_checkpoint(tmp_path / "ck.rbm")
+        blob = bytearray(path.read_bytes())
+        q_at = 20 + 8 * (4 + 4 * 3 + 4)  # header, b, W, mu; Q is 4 x 4
+        blob[q_at:q_at + 8 * 16] = np.full(16, value).tobytes()
+        path.write_bytes(bytes(blob))
+        out = tmp_path / "o.pgm"
+        code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
+        assert_error_line(code, capsys, "Q entries must be finite")
+        assert not out.exists()
+
     def test_bad_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.rbm"
         bad.write_bytes(b"nope")
@@ -216,7 +230,12 @@ class TestSample:
         unknown = tmp_path / "unknown.rbm"
         unknown.write_bytes(with_config(blob, config,
                                         {**config.__dict__, "bogus": 1}))
-        for bad, reason in ((truncated, "offset 20"), (unknown, "'bogus'")):
+        no_hidden = tmp_path / "no_hidden.rbm"
+        save_checkpoint(RbmModel(W=np.zeros((4, 0)), b=model.b, mu=model.mu),
+                        AdamState.zeros(4, 0), config,
+                        DataStats(mu=model.mu, Q=np.eye(4)), no_hidden)
+        for bad, reason in ((truncated, "offset 20"), (unknown, "'bogus'"),
+                            (no_hidden, "n_h 0) at offset 8")):
             code = main(["sample", "--checkpoint", str(bad),
                          "--out", str(tmp_path / "o.pgm")])
             assert_error_line(code, capsys, reason)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import idx_image_bytes
-from spinrbm.data import (_ROWS, Dataset, IdxParseError, binarize,
+from spinrbm.data import (_ROWS, DataStats, Dataset, IdxParseError, binarize,
                           compute_stats, load_idx, minibatches)
 
 
@@ -171,6 +171,27 @@ class TestComputeStats:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             compute_stats(Dataset(spins=np.ones((1, 3), dtype=np.int8)))
+
+
+class TestDataStats:
+    @pytest.mark.parametrize("mu, Q, reason", [
+        (np.full(2, np.nan), np.eye(2), "mu must be a finite vector"),
+        (np.zeros((2, 2)), np.eye(2), "mu must be a finite vector"),
+        (np.zeros(2), np.eye(3), "inconsistent with mu"),
+        (np.zeros(2), np.zeros(2), "inconsistent with mu"),
+        (np.zeros(2), np.full((2, 2), np.nan), "within float32 range"),
+        (np.zeros(2), np.full((2, 2), -np.inf), "within float32 range"),
+        (np.zeros(2), np.full((2, 2), 1e200), "within float32 range"),
+    ], ids=["nan_mu", "matrix_mu", "q_rows", "vector_q", "nan_q", "inf_q",
+            "overflowing_q"])
+    def test_rejects_unusable_statistics(self, mu, Q, reason):
+        with pytest.raises(ValueError, match=reason):
+            DataStats(mu=mu, Q=Q)
+
+    def test_float32_extreme_accepted(self):
+        top = np.finfo(np.float32).max
+        stats = DataStats(mu=np.zeros(2), Q=np.full((2, 1), -float(top)))
+        assert np.all(stats.Q32 == -top)
 
 
 class TestMinibatches:

@@ -303,10 +303,22 @@ def test_make_rng_streams_differ():
     assert not np.allclose(a, b)
 
 
+@pytest.mark.parametrize("key_a, key_b", [
+    ((0, 161), (162,)),     # folded alike by the old golden-ratio key fold
+    ((5,), (5, 0)),         # a trailing zero tag is a different key
+    ((1, 2), (1, 2, 0)),
+    ((1, 2), (2, 1)),
+])
+def test_make_rng_distinct_keys_give_distinct_streams(key_a, key_b):
+    a = make_rng(*key_a).integers(1 << 64, size=8, dtype=np.uint64)
+    b = make_rng(*key_b).integers(1 << 64, size=8, dtype=np.uint64)
+    assert not np.any(a == b)
+
+
 def test_make_rng_rejects_seed_outside_64_bits():
     for seed in (-1, 2 ** 64, 2 ** 64 + 5):
         with pytest.raises(ValueError, match="seed must lie in"):
             make_rng(seed)
     top = 2 ** 64 - 1
     assert make_rng(top).random() == \
-        np.random.Generator(np.random.Philox(key=top)).random()
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(top))).random()
