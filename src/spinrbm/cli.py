@@ -28,9 +28,8 @@ from .io_util import atomic_write_text
 from .metrics import RECON_ERROR_DEFINITION, energy_coefficient, recon_error
 from .model import visible_mean
 from .sampling import gibbs_chain, make_rng, sample_hidden
-from .training import (NEGATIVE_MODES, AdamState, TrainConfig,
-                       TrainingDiverged, holdout_size, load_checkpoint,
-                       save_checkpoint, train)
+from .training import (NEGATIVE_MODES, TrainConfig, TrainingDiverged,
+                       holdout_size, load_checkpoint, save_checkpoint, train)
 
 PRESETS = {
     "paper": dict(n_hidden=512, epochs=300, batch_size=1024,
@@ -198,24 +197,19 @@ def cmd_train(args):
     }
     atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    last = {"adam": None}
-
-    def on_epoch(model, adam, record):
-        last["adam"] = adam
+    def on_epoch(record):
         print(f"epoch {record.epoch:4d}  energy_coeff {record.energy_coefficient:.4f}"
               f"  recon_error {record.recon_error:.4f}  {record.wall_ms} ms")
 
     try:
         model, metrics = train(dataset, stats, config, on_epoch=on_epoch)
     except TrainingDiverged as exc:
-        # keep the last finite model and its optimizer state so the run is
-        # inspectable
-        save_checkpoint(exc.model, exc.adam, config, stats, checkpoint_path)
+        # keep the last finite model so the run is inspectable
+        save_checkpoint(exc.model, config, stats, checkpoint_path)
         _write_metrics_csv(csv_path, exc.metrics)
         raise CliError(f"training diverged: {exc}") from exc
 
-    adam = last["adam"] or AdamState.zeros(model.n_v, model.n_h)
-    save_checkpoint(model, adam, config, stats, checkpoint_path)
+    save_checkpoint(model, config, stats, checkpoint_path)
     _write_metrics_csv(csv_path, metrics)
     print(f"checkpoint: {checkpoint_path}")
     return 0
@@ -229,7 +223,7 @@ def _write_metrics_csv(path, metrics):
 
 def cmd_sample(args):
     """sample-evolution grid from a checkpoint"""
-    model, _, _, stats = load_checkpoint(args.checkpoint)
+    model, _, stats = load_checkpoint(args.checkpoint)
     steps = _parse_steps(args.steps)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5A)
@@ -244,7 +238,7 @@ def cmd_sample(args):
 def cmd_reconstruct(args):
     """originals vs one-step reconstructions"""
     _check_count(args.count)
-    model, _, config, _ = load_checkpoint(args.checkpoint)
+    model, config, _ = load_checkpoint(args.checkpoint)
     dataset, _ = _load_dataset(args.data, config.binarize_threshold)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5B)
@@ -262,7 +256,7 @@ def cmd_reconstruct(args):
 
 def cmd_eval(args):
     """reconstruction error vs Gibbs steps"""
-    model, _, config, stats = load_checkpoint(args.checkpoint)
+    model, config, stats = load_checkpoint(args.checkpoint)
     dataset, _ = _load_dataset(args.data, config.binarize_threshold)
     steps = _parse_steps(args.steps)
     rng = make_rng(args.seed, 0x5C)
@@ -282,7 +276,7 @@ def cmd_eval(args):
 def cmd_weights(args):
     """tile a random subset of weight columns"""
     _check_count(args.count)
-    model, _, _, _ = load_checkpoint(args.checkpoint)
+    model, _, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5E)
     count = min(args.count, model.n_h)

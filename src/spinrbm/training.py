@@ -20,7 +20,7 @@ from .model import RbmModel, nll_gradient
 from .sampling import belief_generate, gibbs_steps, make_rng
 
 CHECKPOINT_MAGIC = b"RBM0"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 NEGATIVE_MODES = ("belief_cd0", "cd_k_from_data")
 
@@ -68,24 +68,20 @@ class AdamState:
     v_b: np.ndarray
     v_W: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros(cls, n_v, n_h, **kwargs):
+    def zeros(cls, n_v, n_h):
         return cls(m_b=np.zeros(n_v), m_W=np.zeros((n_v, n_h)),
-                   v_b=np.zeros(n_v), v_W=np.zeros((n_v, n_h)), **kwargs)
+                   v_b=np.zeros(n_v), v_W=np.zeros((n_v, n_h)))
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite gradient or metric; carries the last finite model, the Adam
-    state that goes with it, and the metrics logged so far."""
+    """Non-finite gradient or metric; carries the last finite model and the
+    metrics logged so far."""
 
-    def __init__(self, message, model, adam, metrics):
+    def __init__(self, message, model, metrics):
         super().__init__(message)
         self.model = model
-        self.adam = adam
         self.metrics = metrics
 
 
@@ -94,6 +90,12 @@ def init_model(n_v, n_h, init_std, mu, seed):
     rng = make_rng(seed, _STREAM_INIT)
     W = rng.normal(0.0, init_std, size=(n_v, n_h)) if init_std > 0 else np.zeros((n_v, n_h))
     return RbmModel(W=W, b=np.zeros(n_v), mu=np.asarray(mu, dtype=np.float64))
+
+
+# Adam hyperparameters (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _adam_update(param, m, v, g, lr, b1, b2, eps, c1, c2):
@@ -127,15 +129,14 @@ def adam_step(state, grads, lr, params):
     if not (np.all(np.isfinite(grads.d_b)) and np.all(np.isfinite(grads.d_W))):
         raise FloatingPointError("non-finite gradient")
     t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1 - b1 ** t
     c2 = 1 - b2 ** t
     new_b, m_b, v_b = _adam_update(b, state.m_b, state.v_b, grads.d_b,
                                    lr, b1, b2, eps, c1, c2)
     new_W, m_W, v_W = _adam_update(W, state.m_W, state.v_W, grads.d_W,
                                    lr, b1, b2, eps, c1, c2)
-    new_state = AdamState(m_b=m_b, m_W=m_W, v_b=v_b, v_W=v_W, t=t,
-                          beta1=b1, beta2=b2, eps=eps)
+    new_state = AdamState(m_b=m_b, m_W=m_W, v_b=v_b, v_W=v_W, t=t)
     return (new_b, new_W), new_state
 
 
@@ -176,7 +177,7 @@ def train(dataset, stats, config, on_epoch=None):
     Positive phase from each data minibatch; negative phase from belief
     generation (CD-0) or k Gibbs sweeps off the data batch, per config.
     Metrics are logged on a held-out fold every eval_every epochs.
-    ``on_epoch(model, adam_state, record)`` is invoked at each logged epoch.
+    ``on_epoch(record)`` is invoked at each logged epoch.
     """
     train_set, holdout = _split_holdout(dataset, config)
     model = init_model(dataset.n_v, config.n_hidden, config.init_std,
@@ -196,7 +197,7 @@ def train(dataset, stats, config, on_epoch=None):
                                          (model.b, model.W))
             except FloatingPointError as exc:
                 raise TrainingDiverged(
-                    f"epoch {epoch} batch {i}: {exc}", model, adam, metrics) from exc
+                    f"epoch {epoch} batch {i}: {exc}", model, metrics) from exc
             model = replace(model, b=b, W=W)
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
@@ -204,10 +205,10 @@ def train(dataset, stats, config, on_epoch=None):
             if not (np.isfinite(record.energy_coefficient)
                     and np.isfinite(record.recon_error)):
                 raise TrainingDiverged(
-                    f"epoch {epoch}: non-finite metric", model, adam, metrics)
+                    f"epoch {epoch}: non-finite metric", model, metrics)
             metrics.append(record)
             if on_epoch is not None:
-                on_epoch(model, adam, record)
+                on_epoch(record)
 
     return model, metrics
 
@@ -243,35 +244,29 @@ def _unpack_array(buf, offset, shape):
     return arr, end
 
 
-def save_checkpoint(model, adam_state, config, stats, path):
-    """Serialize model + optimizer + config to the binary checkpoint format.
+def save_checkpoint(model, config, stats, path):
+    """Serialize model + data statistics + config to the binary checkpoint
+    format.
 
     Layout: magic "RBM0", version u32, (n_v, n_h, r) u32, little-endian
-    float64 arrays b, W, mu, Q, then Adam state (t u64, beta1/beta2/eps
-    f64, m_b, m_W, v_b, v_W), then a length-prefixed JSON config echo.
+    float64 arrays b, W, mu, Q, then a length-prefixed JSON config echo.
     Round-trips bit-exactly.
     """
-    n_v, n_h = model.n_v, model.n_h
-    r = stats.Q.shape[1]
+    config_json = json.dumps(config.__dict__, sort_keys=True).encode()
     parts = [CHECKPOINT_MAGIC,
-             struct.pack("<IIII", CHECKPOINT_VERSION, n_v, n_h, r),
+             struct.pack("<IIII", CHECKPOINT_VERSION, model.n_v, model.n_h,
+                         stats.Q.shape[1]),
              _pack_array(model.b), _pack_array(model.W),
              _pack_array(model.mu), _pack_array(stats.Q),
-             struct.pack("<Qddd", adam_state.t, adam_state.beta1,
-                         adam_state.beta2, adam_state.eps),
-             _pack_array(adam_state.m_b), _pack_array(adam_state.m_W),
-             _pack_array(adam_state.v_b), _pack_array(adam_state.v_W)]
-    config_json = json.dumps(config.__dict__, sort_keys=True).encode()
-    parts.append(struct.pack("<I", len(config_json)))
-    parts.append(config_json)
+             struct.pack("<I", len(config_json)), config_json]
     atomic_write_bytes(path, b"".join(parts))
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (model, adam_state, config, stats).
+    """Inverse of save_checkpoint; returns (model, config, stats).
 
     Every malformed input raises ValueError naming the file, and the byte
-    offset or config key at fault.
+    offset, config key or array at fault.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -293,20 +288,14 @@ def _parse_checkpoint(buf):
     W, off = _unpack_array(buf, off, (n_v, n_h))
     mu, off = _unpack_array(buf, off, (n_v,))
     Q, off = _unpack_array(buf, off, (n_v, r))
-    (t, beta1, beta2, eps), off = _unpack("<Qddd", buf, off)
-    m_b, off = _unpack_array(buf, off, (n_v,))
-    m_W, off = _unpack_array(buf, off, (n_v, n_h))
-    v_b, off = _unpack_array(buf, off, (n_v,))
-    v_W, off = _unpack_array(buf, off, (n_v, n_h))
     (json_len,), off = _unpack("<I", buf, off)
     if off + json_len != len(buf):
         raise ValueError(f"config block size mismatch at offset {off}")
     config = _parse_config(buf[off:off + json_len])
-    model = RbmModel(W=W, b=b, mu=mu)
-    adam = AdamState(m_b=m_b, m_W=m_W, v_b=v_b, v_W=v_W, t=t,
-                     beta1=beta1, beta2=beta2, eps=eps)
-    stats = DataStats(mu=mu, Q=Q)
-    return model, adam, config, stats
+    if config.n_hidden != n_h:
+        raise ValueError(f"checkpoint config key 'n_hidden' is "
+                         f"{config.n_hidden}, header n_h is {n_h}")
+    return RbmModel(W=W, b=b, mu=mu), config, DataStats(mu=mu, Q=Q)
 
 
 def _parse_config(blob):
@@ -317,6 +306,9 @@ def _parse_config(blob):
     for key in fields:
         if key not in known:
             raise ValueError(f"unknown checkpoint config key {key!r}")
+    for key in known:
+        if key not in fields:
+            raise ValueError(f"missing checkpoint config key {key!r}")
     try:
         return TrainConfig(**fields)
     except TypeError as exc:  # a value of the wrong type

@@ -20,8 +20,8 @@ from spinrbm.metrics import energy_coefficient, recon_error, recon_error_vs_step
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
                            exact_visible_marginal)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_phi
-from spinrbm.training import (AdamState, TrainConfig, load_checkpoint,
-                              save_checkpoint, train)
+from spinrbm.training import (TrainConfig, load_checkpoint, save_checkpoint,
+                              train)
 
 DESK = dict(n_hidden=128, epochs=20, batch_size=256, learning_rate=1e-3,
             init_std=0.1)
@@ -222,19 +222,14 @@ def test_criterion_8_checkpoint_roundtrip(tmp_path):
         n_v, n_h, r = gen.integers(2, 12, 3)
         model = RbmModel(W=gen.normal(0, 1, (n_v, n_h)), b=gen.normal(0, 1, n_v),
                          mu=gen.uniform(-1, 1, n_v))
-        adam = AdamState(m_b=gen.normal(size=n_v), m_W=gen.normal(size=(n_v, n_h)),
-                         v_b=gen.random(n_v), v_W=gen.random((n_v, n_h)),
-                         t=int(gen.integers(0, 1000)))
         stats = DataStats(mu=model.mu, Q=gen.normal(size=(n_v, r)))
         config = TrainConfig(n_hidden=int(n_h), epochs=1, batch_size=1, seed=i)
         path = tmp_path / f"m{i}.rbm"
-        save_checkpoint(model, adam, config, stats, path)
-        m2, a2, c2, s2 = load_checkpoint(path)
+        save_checkpoint(model, config, stats, path)
+        m2, c2, s2 = load_checkpoint(path)
         ok &= (model.W.tobytes() == m2.W.tobytes()
                and model.b.tobytes() == m2.b.tobytes()
                and model.mu.tobytes() == m2.mu.tobytes()
                and stats.Q.tobytes() == s2.Q.tobytes()
-               and adam.m_W.tobytes() == a2.m_W.tobytes()
-               and adam.v_W.tobytes() == a2.v_W.tobytes()
-               and adam.t == a2.t and c2 == config)
+               and c2 == config)
     report(8, ok, "10 random checkpoints round-trip bitwise identical")

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from spinrbm.cli import OPTIONS, main
 from spinrbm.data import DataStats
 from spinrbm.images import read_pgm
 from spinrbm.model import GradientPair, RbmModel
-from spinrbm.training import (AdamState, TrainConfig, load_checkpoint,
-                              save_checkpoint)
+from spinrbm.training import TrainConfig, load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--n-hidden", "32", "--epochs", "2", "--batch-size", "128",
                "--eval-batch", "128"]
@@ -20,14 +20,14 @@ def assert_error_line(code, capsys, reason):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and reason in err
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
 
 
 def tiny_checkpoint(path, **config):
     """A checkpoint of a 2x2-pixel model (n_v = 4, n_h = 3)."""
     model = random_model(np.random.default_rng(0), 4, 3)
-    save_checkpoint(model, AdamState.zeros(4, 3),
-                    TrainConfig(n_hidden=3, **config),
+    save_checkpoint(model, TrainConfig(n_hidden=3, **config),
                     DataStats(mu=model.mu, Q=np.eye(4)), path)
     return path
 
@@ -144,9 +144,8 @@ class TestTrain:
         assert_error_line(code, capsys, "implausible dimensions [100, 0, 0]")
         assert not out.exists()
 
-    def test_divergence_saves_matching_adam_state(self, synthetic_idx_dir,
-                                                  tmp_path, capsys,
-                                                  monkeypatch):
+    def test_divergence_saves_last_finite_model(self, synthetic_idx_dir,
+                                                tmp_path, capsys, monkeypatch):
         # 1872 training rows in batches of 128: 15 steps per epoch, so the
         # 21st gradient falls mid-way through epoch 2, after the epoch-1 log
         real = spinrbm.training.nll_gradient
@@ -164,8 +163,10 @@ class TestTrain:
         code = main(["train", "--data", str(synthetic_idx_dir),
                      "--out", str(out), "--seed", "5", *TRAIN_FLAGS])
         assert_error_line(code, capsys, "training diverged")
-        _, adam, _, _ = load_checkpoint(out / "checkpoint.rbm")
-        assert adam.t == 20
+        model, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        assert model.n_h == 32
+        rows = (out / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["epoch", "1"]
 
 
 class TestSample:
@@ -200,16 +201,25 @@ class TestSample:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
-    def test_checkpoint_with_unusable_q_rejected(self, tmp_path, capsys, value):
+    # DataStats checks Q and RbmModel checks W
+    @pytest.mark.parametrize("array, value, reason", [
+        pytest.param("Q", np.nan, "Q entries must be finite", id="nan"),
+        pytest.param("Q", np.inf, "Q entries must be finite", id="inf"),
+        pytest.param("Q", 1e200, "Q entries must be finite", id="1e+200"),
+        pytest.param("W", np.nan, "W contains non-finite entries", id="W-nan"),
+        pytest.param("W", np.inf, "W contains non-finite entries", id="W-inf"),
+    ])
+    def test_checkpoint_with_unusable_q_rejected(self, tmp_path, capsys,
+                                                 array, value, reason):
         path = tiny_checkpoint(tmp_path / "ck.rbm")
         blob = bytearray(path.read_bytes())
-        q_at = 20 + 8 * (4 + 4 * 3 + 4)  # header, b, W, mu; Q is 4 x 4
-        blob[q_at:q_at + 8 * 16] = np.full(16, value).tobytes()
+        # after the 20-byte header: b (4), W (4 x 3), mu (4), Q (4 x 4)
+        at, size = {"W": (20 + 8 * 4, 12), "Q": (20 + 8 * (4 + 12 + 4), 16)}[array]
+        blob[at:at + 8 * size] = np.full(size, value).tobytes()
         path.write_bytes(bytes(blob))
         out = tmp_path / "o.pgm"
         code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
-        assert_error_line(code, capsys, "Q entries must be finite")
+        assert_error_line(code, capsys, f"ck.rbm: {reason}")
         assert not out.exists()
 
     def test_bad_checkpoint(self, tmp_path):
@@ -222,20 +232,32 @@ class TestSample:
         model = random_model(np.random.default_rng(0), 4, 3)
         config = TrainConfig(n_hidden=3)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, AdamState.zeros(4, 3), config,
-                        DataStats(mu=model.mu, Q=np.eye(4)), path)
+        stats = DataStats(mu=model.mu, Q=np.eye(4))
+        save_checkpoint(model, config, stats, path)
         blob = path.read_bytes()
         truncated = tmp_path / "truncated.rbm"
         truncated.write_bytes(blob[:30])
         unknown = tmp_path / "unknown.rbm"
         unknown.write_bytes(with_config(blob, config,
                                         {**config.__dict__, "bogus": 1}))
+        missing = tmp_path / "missing.rbm"
+        missing.write_bytes(with_config(
+            blob, config, {k: v for k, v in config.__dict__.items()
+                           if k != "binarize_threshold"}))
         no_hidden = tmp_path / "no_hidden.rbm"
         save_checkpoint(RbmModel(W=np.zeros((4, 0)), b=model.b, mu=model.mu),
-                        AdamState.zeros(4, 0), config,
-                        DataStats(mu=model.mu, Q=np.eye(4)), no_hidden)
+                        config, stats, no_hidden)
+        mismatch = tmp_path / "mismatch.rbm"
+        save_checkpoint(model, TrainConfig(n_hidden=5), stats, mismatch)
+        version_1 = tmp_path / "version_1.rbm"
+        version_1.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
         for bad, reason in ((truncated, "offset 20"), (unknown, "'bogus'"),
-                            (no_hidden, "n_h 0) at offset 8")):
+                            (missing, "missing checkpoint config key "
+                                      "'binarize_threshold'"),
+                            (no_hidden, "n_h 0) at offset 8"),
+                            (mismatch, "config key 'n_hidden' is 5, "
+                                       "header n_h is 3"),
+                            (version_1, "unsupported checkpoint version 1")):
             code = main(["sample", "--checkpoint", str(bad),
                          "--out", str(tmp_path / "o.pgm")])
             assert_error_line(code, capsys, reason)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from conftest import random_model, random_spins, with_config
 from spinrbm.data import Dataset, compute_stats
 from spinrbm.model import GradientPair, RbmModel, exact_nll, exact_nll_gradient
-from spinrbm.training import (AdamState, TrainConfig, adam_step, init_model,
+from spinrbm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                              TrainConfig, adam_step, init_model,
                               load_checkpoint, save_checkpoint, train)
 
 
@@ -90,7 +92,7 @@ class TestAdam:
                   grads.d_b, grads.d_W, *params]
         before = [a.copy() for a in inputs]
         (b, W), new = adam_step(state, grads, lr, params)
-        b1, b2, eps, t = state.beta1, state.beta2, state.eps, 5
+        b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 5
         c1, c2 = 1 - b1 ** t, 1 - b2 ** t
         for p, m, v, g, got_p, got_m, got_v in (
                 (params[0], state.m_b, state.v_b, grads.d_b, b, new.m_b, new.v_b),
@@ -140,9 +142,8 @@ class TestTrain:
         model, _ = train(ds, stats, small_config(epochs=2))
         assert stats.Q.dtype == np.float64 and stats.Q.tobytes() == Q.tobytes()
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, AdamState.zeros(model.n_v, model.n_h),
-                        small_config(), stats, path)
-        _, _, _, s2 = load_checkpoint(path)
+        save_checkpoint(model, small_config(), stats, path)
+        _, _, s2 = load_checkpoint(path)
         assert s2.Q.dtype == np.float64 and s2.Q.tobytes() == Q.tobytes()
 
     def test_mu_never_trained(self):
@@ -201,31 +202,49 @@ class TestExactDescent:
 
 
 class TestCheckpoint:
-    def _random_state(self, rng, n_v=6, n_h=3, r=4):
+    def _random_state(self, rng, n_v=6, n_h=3, r=4, **config):
+        """A model, its data statistics and a config with its n_hidden."""
         from spinrbm.data import DataStats
         model = random_model(rng, n_v, n_h, centered=False)
-        adam = AdamState(m_b=rng.normal(size=n_v), m_W=rng.normal(size=(n_v, n_h)),
-                         v_b=rng.random(n_v), v_W=rng.random((n_v, n_h)), t=17)
         stats = DataStats(mu=model.mu, Q=rng.normal(size=(n_v, r)))
-        return model, adam, stats
+        return model, stats, small_config(n_hidden=n_h, **config)
 
     def test_roundtrip_bit_exact(self, rng, tmp_path):
         for i in range(10):
-            model, adam, stats = self._random_state(rng)
-            config = small_config(seed=i)
+            model, stats, config = self._random_state(rng, seed=i)
             path = tmp_path / f"ck{i}.rbm"
-            save_checkpoint(model, adam, config, stats, path)
-            m2, a2, c2, s2 = load_checkpoint(path)
+            save_checkpoint(model, config, stats, path)
+            m2, c2, s2 = load_checkpoint(path)
             for a, b in ((model.W, m2.W), (model.b, m2.b), (model.mu, m2.mu),
-                         (stats.Q, s2.Q), (adam.m_b, a2.m_b), (adam.m_W, a2.m_W),
-                         (adam.v_b, a2.v_b), (adam.v_W, a2.v_W)):
+                         (stats.Q, s2.Q)):
                 assert a.tobytes() == b.tobytes()
-            assert a2.t == adam.t and c2 == config
+            assert c2 == config
+
+    @pytest.mark.parametrize("n_v, n_h, r", [(6, 3, 4), (4, 1, 1), (9, 5, 7)])
+    def test_length_is_header_arrays_and_config(self, rng, tmp_path, n_v, n_h, r):
+        # header, b, W, mu and Q, then the config echo behind its u32 length
+        model, stats, config = self._random_state(rng, n_v, n_h, r)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, config, stats, path)
+        config_json = json.dumps(config.__dict__, sort_keys=True).encode()
+        assert path.stat().st_size == (20 + 8 * (2 * n_v + n_v * n_h + n_v * r)
+                                       + 4 + len(config_json))
+        assert path.read_bytes().endswith(config_json)
+
+    @pytest.mark.parametrize("key", sorted(TrainConfig.__dataclass_fields__))
+    def test_missing_config_key_rejected(self, rng, tmp_path, key):
+        model, stats, config = self._random_state(rng)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, config, stats, path)
+        fields = {k: v for k, v in config.__dict__.items() if k != key}
+        path.write_bytes(with_config(path.read_bytes(), config, fields))
+        with pytest.raises(ValueError, match=f"missing checkpoint config key '{key}'"):
+            load_checkpoint(path)
 
     def test_corrupted_magic_rejected(self, rng, tmp_path):
-        model, adam, stats = self._random_state(rng)
+        model, stats, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, adam, small_config(), stats, path)
+        save_checkpoint(model, config, stats, path)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -233,17 +252,17 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncation_rejected(self, rng, tmp_path):
-        model, adam, stats = self._random_state(rng)
+        model, stats, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, adam, small_config(), stats, path)
+        save_checkpoint(model, config, stats, path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
     def test_truncation_at_every_offset_rejected(self, rng, tmp_path):
-        model, adam, stats = self._random_state(rng, n_v=4, n_h=3, r=4)
+        model, stats, config = self._random_state(rng, n_v=4, n_h=3, r=4)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, adam, small_config(), stats, path)
+        save_checkpoint(model, config, stats, path)
         blob = path.read_bytes()
         cut = tmp_path / "cut.rbm"
         for n in range(len(blob)):
@@ -252,10 +271,9 @@ class TestCheckpoint:
                 load_checkpoint(cut)
 
     def test_unknown_config_key_rejected(self, rng, tmp_path):
-        model, adam, stats = self._random_state(rng)
-        config = small_config()
+        model, stats, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, adam, config, stats, path)
+        save_checkpoint(model, config, stats, path)
         path.write_bytes(with_config(path.read_bytes(), config,
                                      {**config.__dict__, "bogus": 1}))
         with pytest.raises(ValueError, match="'bogus'"):
@@ -263,10 +281,10 @@ class TestCheckpoint:
 
     def test_sampling_without_recomputing_stats(self, rng, tmp_path):
         from spinrbm.sampling import belief_generate, make_rng
-        model, adam, stats = self._random_state(rng)
+        model, stats, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, adam, small_config(), stats, path)
-        m2, _, _, s2 = load_checkpoint(path)
+        save_checkpoint(model, config, stats, path)
+        m2, _, s2 = load_checkpoint(path)
         v = belief_generate(m2, s2, 5, make_rng(0))
         assert v.shape == (5, model.n_v)
 
