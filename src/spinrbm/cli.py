@@ -25,9 +25,8 @@ import numpy as np
 from .data import binarize, compute_stats, load_idx
 from .images import rescale_to_gray, spins_to_gray, tile_grid, write_pgm
 from .io_util import atomic_write_text
-from .metrics import RECON_ERROR_DEFINITION, energy_coefficient, recon_error
-from .model import visible_mean
-from .sampling import gibbs_chain, make_rng, sample_hidden
+from .metrics import RECON_ERROR_DEFINITION, eval_curve, reconstruct
+from .sampling import gibbs_chain, make_rng
 from .training import (NEGATIVE_MODES, TrainConfig, TrainingDiverged,
                        holdout_size, load_checkpoint, save_checkpoint, train)
 
@@ -204,7 +203,7 @@ def cmd_train(args):
     try:
         model, metrics = train(dataset, stats, config, on_epoch=on_epoch)
     except TrainingDiverged as exc:
-        # keep the last finite model so the run is inspectable
+        # keep the last in-range model so the run is inspectable
         save_checkpoint(exc.model, config, stats, checkpoint_path)
         _write_metrics_csv(csv_path, exc.metrics)
         raise CliError(f"training diverged: {exc}") from exc
@@ -244,8 +243,7 @@ def cmd_reconstruct(args):
     rng = make_rng(args.seed, 0x5B)
     idx = rng.choice(dataset.n, size=args.count, replace=False)
     originals = dataset.spins[idx]
-    h = sample_hidden(model, originals, rng)
-    v_hat = visible_mean(model, h)
+    v_hat = reconstruct(model, originals, rng)
     recon = np.where(v_hat >= 0, 1, -1).astype(np.int8)
     tiles = spins_to_gray(originals, side) + spins_to_gray(recon, side)
     write_pgm(args.out, tile_grid(tiles, 2, args.count))
@@ -259,14 +257,9 @@ def cmd_eval(args):
     model, config, stats = load_checkpoint(args.checkpoint)
     dataset, _ = _load_dataset(args.data, config.binarize_threshold)
     steps = _parse_steps(args.steps)
-    rng = make_rng(args.seed, 0x5C)
-    n = min(args.batch_size, dataset.n)
-    data_idx = rng.choice(dataset.n, size=n, replace=False)
-    data_batch = dataset.spins[data_idx]
     rows = []
-    for k, v in gibbs_chain(model, stats, n, steps, rng):
-        err = recon_error(model, v, make_rng(args.seed, 0x5D, k))
-        coeff = energy_coefficient(data_batch, v)
+    for k, err, coeff in eval_curve(model, stats, dataset.spins,
+                                    args.batch_size, steps, args.seed):
         rows.append((k, repr(err), repr(coeff)))
         print(f"step {k:3d}  recon_error {err:.4f}  energy_coefficient {coeff:.4f}")
     _write_csv(args.out, ["step", "recon_error", "energy_coefficient"], rows)

@@ -1,13 +1,14 @@
 """MNIST-style IDX ingestion, spin binarization, and dataset statistics."""
 
 import gzip
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .model import check_spins
+from .model import check_float32_range, check_spins
 from .sampling import make_rng
 
 IDX_MAGIC_IMAGES = 0x00000803
@@ -21,7 +22,7 @@ _ROWS = 4096
 
 
 class IdxParseError(ValueError):
-    """Malformed IDX file; the message names the byte offset."""
+    """Malformed IDX file; the message names the path and the fault."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,7 @@ class DataStats:
             raise ValueError(f"mu must be a finite vector, got shape {mu.shape}")
         if Q.ndim != 2 or Q.shape[0] != mu.shape[0]:
             raise ValueError(f"Q shape {Q.shape} inconsistent with mu {mu.shape}")
-        # NaN fails the comparison too; the sampler casts Q to float32
-        if not np.all(np.abs(Q) <= np.finfo(np.float32).max):
-            raise ValueError("Q entries must be finite and within float32 range")
+        check_float32_range(Q, "Q")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "Q", Q)
 
@@ -75,7 +74,10 @@ def _read_bytes(path):
     path = Path(path)
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxParseError(f"{path}: corrupt gzip data: {exc}") from exc
     return raw
 
 

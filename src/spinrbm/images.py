@@ -58,7 +58,7 @@ def write_pgm(path, image):
 
 
 def read_pgm(path):
-    """Minimal P5 reader (used by tests and the benchmark)."""
+    """Minimal P5 reader (used by the tests)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     fields = []

@@ -1,4 +1,4 @@
-"""Energy coefficient and one-step reconstruction error.
+"""Energy coefficient, one-step reconstruction error, and the eval curve.
 
 Reconstruction error definition (logged with every metrics CSV): sample
 h ~ p(h|v) once per row, read back the mean field v_hat = tanh(b + W h),
@@ -9,8 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_spins, visible_mean
+from .model import check_spins, visible_field
 from .sampling import gibbs_chain, make_rng, sample_hidden
+
+# rng stream tags of eval_curve: data batch and chain; recon error per step
+_STREAM_CHAIN = 0x5C
+_STREAM_RECON = 0x5D
 
 RECON_ERROR_DEFINITION = (
     "recon_error = mean(|v - tanh(b + W h)|) / 2 with h ~ p(h|v), one draw"
@@ -62,20 +66,30 @@ def energy_coefficient(x, y):
     return (2.0 * d_xy - d_xx - d_yy) / (2.0 * d_xy)
 
 
+def reconstruct(model, v, rng):
+    """Mean-field readback tanh(b + W h) of h ~ p(h|v), one draw per row."""
+    return np.tanh(visible_field(model, sample_hidden(model, v, rng)))
+
+
 def recon_error(model, batch, rng):
     """One-step reconstruction error in [0, 1] (definition in module docstring)."""
     batch = np.atleast_2d(check_spins(batch, model.n_v, "batch"))
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
-    h = sample_hidden(model, batch, rng)
-    v_hat = visible_mean(model, h)
-    return float(np.abs(batch - v_hat).mean() / 2.0)
+    return float(np.abs(batch - reconstruct(model, batch, rng)).mean() / 2.0)
 
 
-def recon_error_vs_steps(model, stats, batch_size, steps, rng):
-    """Reconstruction error of belief-generated samples after k Gibbs sweeps,
-    for each k in steps (sorted ascending), along one chain.  Each evaluation
-    samples from its own stream, keyed by a draw from rng; the measurement's
-    own draws stay out of the chain."""
-    return [(k, recon_error(model, v, make_rng(rng.integers(1 << 62))))
-            for k, v in gibbs_chain(model, stats, batch_size, steps, rng)]
+def eval_curve(model, stats, spins, batch_size, steps, seed):
+    """Yield (k, recon_error, energy_coefficient) for each k in steps: the
+    quality of min(batch_size, rows) belief-generated chains after k Gibbs
+    sweeps, against as many data rows drawn from spins.  The recon error at
+    each k draws from its own stream, off the chain's.  Arguments are
+    checked when iteration starts."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    rng = make_rng(seed, _STREAM_CHAIN)
+    n = min(batch_size, spins.shape[0])
+    data_batch = spins[rng.choice(spins.shape[0], size=n, replace=False)]
+    for k, v in gibbs_chain(model, stats, n, steps, rng):
+        yield (k, recon_error(model, v, make_rng(seed, _STREAM_RECON, k)),
+               energy_coefficient(data_batch, v))

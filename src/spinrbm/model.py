@@ -19,6 +19,8 @@ ENUMERATION_LIMIT = 24
 
 _ENUM_CHUNK = 1 << 16
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class RbmModel:
@@ -41,8 +43,7 @@ class RbmModel:
         if mu.shape != (n_v,):
             raise ValueError(f"mu shape {mu.shape} inconsistent with W {W.shape}")
         for name, arr in (("W", W), ("b", b), ("mu", mu)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+            check_float32_range(arr, name)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mu", mu)
@@ -69,6 +70,14 @@ class GradientPair:
     d_W: np.ndarray
 
 
+def check_float32_range(arr, name):
+    """Reject an array with an entry that is not finite or lies beyond float32
+    range: the samplers cast W, b, mu and Q to float32."""
+    # NaN fails the comparisons too; an empty array passes
+    if arr.size and not -_F32_MAX <= arr.min() <= arr.max() <= _F32_MAX:
+        raise ValueError(f"{name} entries must be finite and within float32 range")
+
+
 def check_spins(arr, n_units=None, name="batch"):
     """Validate a +/-1 spin array and return it as int8 (copies only if needed)."""
     arr = np.asarray(arr)
@@ -81,39 +90,12 @@ def check_spins(arr, n_units=None, name="batch"):
     return arr.astype(np.int8, copy=False)
 
 
-def energy(model, v, h):
-    """Joint energy U(v, h) = -b.(v - mu) - (v - mu).W.h."""
-    v = check_spins(v, model.n_v, "v")
-    h = check_spins(h, model.n_h, "h")
-    vc = v - model.mu
-    return float(-vc @ model.b - vc @ model.W @ h)
-
-
-def hidden_field(model, v):
-    """Field phi = W^T (v - mu) acting on the hidden units.
-
-    Accepts a single spin vector or a batch (rows are samples).
-    """
-    v = check_spins(v, model.n_v, "v")
-    return (v - model.mu) @ model.W
-
-
-def hidden_mean(model, v):
-    """Exact conditional expectation <h | v> = tanh(W^T (v - mu))."""
-    return np.tanh(hidden_field(model, v))
-
-
 def visible_field(model, h):
     """Field b + W h acting on the visible units; p(v_j=+1|h) = sigma(2 field_j)."""
     h = check_spins(h, model.n_h, "h")
     field = h @ model.W.T
     field += model.b
     return field
-
-
-def visible_mean(model, h):
-    """Mean-field readback <v | h> = tanh(b + W h)."""
-    return np.tanh(visible_field(model, h))
 
 
 def _all_spin_states(n):

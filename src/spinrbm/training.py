@@ -76,8 +76,8 @@ class AdamState:
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite gradient or metric; carries the last finite model and the
-    metrics logged so far."""
+    """Non-finite gradient or metric, or weights beyond float32 range;
+    carries the last in-range model and the metrics logged so far."""
 
     def __init__(self, message, model, metrics):
         super().__init__(message)
@@ -195,10 +195,11 @@ def train(dataset, stats, config, on_epoch=None):
             try:
                 (b, W), adam = adam_step(adam, grads, config.learning_rate,
                                          (model.b, model.W))
-            except FloatingPointError as exc:
+                model = replace(model, b=b, W=W)
+            except (FloatingPointError, ValueError) as exc:
+                # a non-finite gradient, or a step that leaves float32 range
                 raise TrainingDiverged(
                     f"epoch {epoch} batch {i}: {exc}", model, metrics) from exc
-            model = replace(model, b=b, W=W)
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             record = _evaluate(model, stats, holdout, config, epoch, t0)

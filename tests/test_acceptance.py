@@ -16,7 +16,7 @@ import pytest
 from conftest import idx_image_bytes, random_spins, synthetic_digits
 from spinrbm.cli import main
 from spinrbm.data import Dataset, binarize, compute_stats, load_idx
-from spinrbm.metrics import energy_coefficient, recon_error, recon_error_vs_steps
+from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
                            exact_visible_marginal)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_phi
@@ -132,10 +132,9 @@ def _run_desk(dataset):
     config = TrainConfig(seed=7, eval_every=5, **DESK)
     stats = compute_stats(dataset)
     model, _ = train(dataset, stats, config)
-    rng = make_rng(7, 0x99)
-    heldout = dataset.spins[:1024]
-    step0 = recon_error(model, heldout, rng)
-    curve = recon_error_vs_steps(model, stats, 1024, EVAL_STEPS, rng)
+    step0 = recon_error(model, dataset.spins[:1024], make_rng(7, 0x99))
+    curve = [(k, err) for k, err, _ in
+             eval_curve(model, stats, dataset.spins, 1024, EVAL_STEPS, 7)]
     return step0, curve
 
 

@@ -1,3 +1,4 @@
+import gzip
 import json
 import struct
 
@@ -144,6 +145,36 @@ class TestTrain:
         assert_error_line(code, capsys, "implausible dimensions [100, 0, 0]")
         assert not out.exists()
 
+    def test_corrupt_gzip_leaves_no_output(self, tmp_path, capsys):
+        data = tmp_path / "img.gz"
+        blob = gzip.compress(idx_image_bytes(np.zeros((100, 2, 2))))
+        data.write_bytes(blob[:len(blob) // 2])
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     *TRAIN_FLAGS])
+        assert_error_line(code, capsys, "img.gz: corrupt gzip data")
+        assert not out.exists()
+
+    def test_weights_beyond_float32_range_diverge(self, synthetic_idx_dir,
+                                                   tmp_path, capsys):
+        # the first Adam step moves W by ~1e300: the initial model is kept
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), *TRAIN_FLAGS, "--learning-rate", "1e300"])
+        assert_error_line(code, capsys, "training diverged")
+        model, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        assert np.abs(model.W).max() < 1.0
+        assert (out / "metrics.csv").read_text().splitlines() == [
+            "epoch,energy_coefficient,recon_error,wall_ms"]
+
+    def test_initial_weights_beyond_float32_range_rejected(
+            self, synthetic_idx_dir, tmp_path, capsys):
+        # any warning fails the suite, so this also pins that none is printed
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(tmp_path / "run"), *TRAIN_FLAGS, "--init-std", "1e300"])
+        assert_error_line(code, capsys, "W entries must be finite and within "
+                                        "float32 range")
+
     def test_divergence_saves_last_finite_model(self, synthetic_idx_dir,
                                                 tmp_path, capsys, monkeypatch):
         # 1872 training rows in batches of 128: 15 steps per epoch, so the
@@ -206,8 +237,9 @@ class TestSample:
         pytest.param("Q", np.nan, "Q entries must be finite", id="nan"),
         pytest.param("Q", np.inf, "Q entries must be finite", id="inf"),
         pytest.param("Q", 1e200, "Q entries must be finite", id="1e+200"),
-        pytest.param("W", np.nan, "W contains non-finite entries", id="W-nan"),
-        pytest.param("W", np.inf, "W contains non-finite entries", id="W-inf"),
+        pytest.param("W", np.nan, "W entries must be finite", id="W-nan"),
+        pytest.param("W", np.inf, "W entries must be finite", id="W-inf"),
+        pytest.param("W", 1e200, "W entries must be finite", id="W-1e200"),
     ])
     def test_checkpoint_with_unusable_q_rejected(self, tmp_path, capsys,
                                                  array, value, reason):

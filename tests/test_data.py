@@ -31,6 +31,20 @@ class TestLoadIdx:
         p.write_bytes(gzip.compress(idx_image_bytes(images)))
         assert np.array_equal(load_idx(p), images)
 
+    @pytest.mark.parametrize("damage", ["truncated", "deflate", "crc"])
+    def test_corrupt_gzip(self, tmp_path, damage):
+        blob = bytearray(gzip.compress(idx_image_bytes(np.zeros((8, 2, 2)))))
+        if damage == "truncated":
+            del blob[len(blob) // 2:]
+        elif damage == "deflate":
+            blob[10] |= 0b110  # the first block's type becomes the reserved 3
+        else:
+            blob[-8] ^= 0xFF  # the CRC32 of the trailer
+        p = tmp_path / "img.gz"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(IdxParseError, match="img.gz: corrupt gzip data"):
+            load_idx(p)
+
     def test_truncated_payload(self, tmp_path):
         payload = struct.pack(">IIII", 0x803, 1, 2, 2) + bytes([0, 1])
         p = tmp_path / "img"

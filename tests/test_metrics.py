@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import random_model, random_spins
 from spinrbm.data import Dataset, compute_stats
-from spinrbm.metrics import (energy_coefficient, recon_error,
-                             recon_error_vs_steps)
+from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
 from spinrbm.model import RbmModel
-from spinrbm.sampling import make_rng
+from spinrbm.sampling import gibbs_chain, make_rng
 
 
 def brute_coefficient(x, y):
@@ -125,21 +124,49 @@ class TestReconError:
 
 
 class TestReconErrorVsSteps:
+    """eval_curve: the curve that rbm eval writes."""
+
     def test_single_step_range(self, rng):
         m = random_model(rng, 6, 4)
-        stats = compute_stats(Dataset(spins=random_spins(rng, (50, 6))))
-        out = recon_error_vs_steps(m, stats, 32, [0], make_rng(6))
+        spins = random_spins(rng, (50, 6))
+        stats = compute_stats(Dataset(spins=spins))
+        out = list(eval_curve(m, stats, spins, 32, [0], 6))
         assert len(out) == 1 and out[0][0] == 0
         assert 0.0 <= out[0][1] <= 1.0
 
     def test_steps_must_be_sorted(self, rng):
         m = random_model(rng, 4, 2)
-        stats = compute_stats(Dataset(spins=random_spins(rng, (20, 4))))
-        with pytest.raises(ValueError):
-            recon_error_vs_steps(m, stats, 8, [4, 2], make_rng(7))
+        spins = random_spins(rng, (20, 4))
+        stats = compute_stats(Dataset(spins=spins))
+        with pytest.raises(ValueError, match="sorted ascending"):
+            list(eval_curve(m, stats, spins, 8, [4, 2], 7))
 
     def test_step_counts_echoed(self, rng):
         m = random_model(rng, 5, 3)
-        stats = compute_stats(Dataset(spins=random_spins(rng, (40, 5))))
-        out = recon_error_vs_steps(m, stats, 16, [0, 2, 8], make_rng(8))
-        assert [k for k, _ in out] == [0, 2, 8]
+        spins = random_spins(rng, (40, 5))
+        stats = compute_stats(Dataset(spins=spins))
+        out = list(eval_curve(m, stats, spins, 16, [0, 2, 8], 8))
+        assert [k for k, _, _ in out] == [0, 2, 8]
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_must_be_positive(self, rng, batch_size):
+        m = random_model(rng, 4, 2)
+        spins = random_spins(rng, (20, 4))
+        stats = compute_stats(Dataset(spins=spins))
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            list(eval_curve(m, stats, spins, batch_size, [0], 7))
+
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    def test_rows_keyed_like_rbm_eval(self, rng, batch_size):
+        # the rbm eval CSV rests on these keys: the data batch, then the
+        # chain, from stream 0x5C; the recon error at step k from (0x5D, k)
+        m = random_model(rng, 6, 4)
+        spins = random_spins(rng, (40, 6))
+        stats = compute_stats(Dataset(spins=spins))
+        seed, steps, n = 11, [0, 1, 3], min(batch_size, 40)
+        chain_rng = make_rng(seed, 0x5C)
+        data = spins[chain_rng.choice(40, size=n, replace=False)]
+        expected = [(k, recon_error(m, v, make_rng(seed, 0x5D, k)),
+                     energy_coefficient(data, v))
+                    for k, v in gibbs_chain(m, stats, n, steps, chain_rng)]
+        assert list(eval_curve(m, stats, spins, batch_size, steps, seed)) == expected

@@ -2,16 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (brute_hidden_mean, brute_nll, random_model,
                       random_spins)
 from spinrbm.data import Dataset
-from spinrbm.metrics import energy_coefficient, recon_error
-from spinrbm.model import (RbmModel, energy, exact_nll, exact_nll_gradient,
-                           hidden_field, hidden_mean, nll_gradient,
-                           visible_field)
+from spinrbm.metrics import energy_coefficient, recon_error, reconstruct
+from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
+                           nll_gradient, visible_field)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_hidden, sample_visible
 
 
@@ -19,56 +16,7 @@ def tiny(n_v=3, n_h=2, seed=0, **kw):
     return random_model(np.random.default_rng(seed), n_v, n_h, **kw)
 
 
-class TestEnergy:
-    def test_zero_parameters(self):
-        m = RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), mu=np.zeros(3))
-        assert energy(m, [1, -1, 1], [-1, 1]) == 0.0
-
-    def test_single_coupling(self):
-        m = RbmModel(W=np.array([[0.7]]), b=np.zeros(1), mu=np.zeros(1))
-        assert energy(m, [1], [1]) == pytest.approx(-0.7)
-
-    @given(st.integers(0, 2 ** 5 - 1), st.integers(0, 2 ** 3 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_flip_symmetry_without_bias(self, vbits, hbits):
-        m = tiny(5, 3, seed=1)
-        m = RbmModel(W=m.W, b=np.zeros(5), mu=np.zeros(5))
-        v = np.array([1 if vbits >> j & 1 else -1 for j in range(5)])
-        h = np.array([1 if hbits >> i & 1 else -1 for i in range(3)])
-        assert energy(m, v, h) == pytest.approx(energy(m, -v, -h))
-
-    def test_matches_brute_force(self):
-        from conftest import brute_energy
-        m = tiny(4, 3, seed=2, centered=False)
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            v = random_spins(rng, 4)
-            h = random_spins(rng, 3)
-            assert energy(m, v, h) == pytest.approx(brute_energy(m, v, h))
-
-    def test_shape_error(self):
-        m = tiny()
-        with pytest.raises(ValueError):
-            energy(m, [1, -1], [1, 1])
-
-
 class TestFields:
-    def test_centering_zeroes_field(self):
-        m = RbmModel(W=np.ones((3, 2)), b=np.zeros(3), mu=np.ones(3))
-        assert hidden_field(m, [1, 1, 1]) == pytest.approx([0, 0])
-
-    def test_identity_weights(self):
-        m = RbmModel(W=np.eye(3), b=np.zeros(3), mu=np.zeros(3))
-        v = np.array([1, -1, 1])
-        assert hidden_field(m, v) == pytest.approx(v)
-
-    def test_random_matches_matvec(self, rng):
-        m = random_model(rng, 3, 2, centered=False)
-        v = random_spins(rng, 3)
-        expected = [sum(m.W[j, i] * (v[j] - m.mu[j]) for j in range(3))
-                    for i in range(2)]
-        assert hidden_field(m, v) == pytest.approx(expected)
-
     def test_visible_field_decoupled(self):
         b = np.array([0.3, -0.2])
         m = RbmModel(W=np.zeros((2, 3)), b=b, mu=np.zeros(2))
@@ -90,25 +38,35 @@ class TestFields:
 
 
 class TestHiddenMean:
+    """The gradient marginalizes h to <h|v> = tanh(W^T (v - mu)): for one
+    data row u and one model row v, d_W = (v - mu) <h|v>^T - (u - mu) <h|u>^T."""
+
     def test_zero_field_is_zero(self):
         m = RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), mu=np.zeros(3))
-        assert hidden_mean(m, [1, -1, 1]) == pytest.approx([0, 0])
+        d_W = nll_gradient(m, [[1, -1, 1]], [[-1, 1, 1]]).d_W
+        assert d_W == pytest.approx(np.zeros((3, 2)))
 
     def test_saturation(self):
+        # <h|u> = tanh(0) = 0 and <h|v> = tanh(100) = 1
         m = RbmModel(W=np.full((2, 1), 50.0), b=np.zeros(2), mu=np.zeros(2))
-        assert hidden_mean(m, [1, 1])[0] == pytest.approx(1.0)
+        d_W = nll_gradient(m, [[1, -1]], [[1, 1]]).d_W
+        assert d_W == pytest.approx(np.ones((2, 1)))
+
+    @staticmethod
+    def check_against_enumeration(m, rng):
+        u, v = random_spins(rng, m.n_v), random_spins(rng, m.n_v)
+        expected = (np.outer(v - m.mu, brute_hidden_mean(m, v))
+                    - np.outer(u - m.mu, brute_hidden_mean(m, u)))
+        assert nll_gradient(m, [u], [v]).d_W == pytest.approx(expected)
 
     def test_matches_enumeration(self, rng):
         for _ in range(5):
-            m = random_model(rng, 4, 2, centered=False)
-            v = random_spins(rng, 4)
-            assert hidden_mean(m, v) == pytest.approx(brute_hidden_mean(m, v))
+            self.check_against_enumeration(
+                random_model(rng, 4, 2, centered=False), rng)
 
     def test_enumeration_consistency_wider(self, rng):
         # conditional consistency invariant holds up to n_h = 10
-        m = random_model(rng, 3, 10)
-        v = random_spins(rng, 3)
-        assert hidden_mean(m, v) == pytest.approx(brute_hidden_mean(m, v))
+        self.check_against_enumeration(random_model(rng, 3, 10), rng)
 
 
 class TestExactNll:
@@ -224,7 +182,7 @@ class TestModelValidation:
     def test_spin_validation(self):
         m = tiny()
         with pytest.raises(ValueError, match="exactly -1 or \\+1"):
-            energy(m, [1, 0, 1], [1, 1])
+            visible_field(m, [1, 0])
 
     def test_float32_weights_cached_per_model(self, rng):
         m = random_model(rng, 5, 3)
@@ -249,13 +207,11 @@ _SPIN_ARGUMENTS = [
     ("nll_gradient_model", 3, lambda x: nll_gradient(_M, _V, x)),
     ("exact_nll", 3, lambda x: exact_nll(_M, x)),
     ("exact_nll_gradient", 3, lambda x: exact_nll_gradient(_M, x)),
-    ("energy_v", 3, lambda x: energy(_M, x, [1, 1])),
-    ("energy_h", 2, lambda x: energy(_M, [1, 1, 1], x)),
-    ("hidden_field", 3, lambda x: hidden_field(_M, x)),
     ("visible_field", 2, lambda x: visible_field(_M, x)),
     ("energy_coefficient_x", 3, lambda x: energy_coefficient(x, _V)),
     ("energy_coefficient_y", 3, lambda x: energy_coefficient(_V, x)),
     ("recon_error", 3, lambda x: recon_error(_M, x, make_rng(0))),
+    ("reconstruct", 3, lambda x: reconstruct(_M, x, make_rng(0))),
     ("Dataset", None, lambda x: Dataset(spins=x)),
 ]
 
