@@ -28,13 +28,13 @@ from .io_util import atomic_write_text
 from .metrics import RECON_ERROR_DEFINITION, eval_curve, reconstruct
 from .sampling import gibbs_chain, make_rng
 from .training import (NEGATIVE_MODES, TrainConfig, TrainingDiverged,
-                       holdout_size, load_checkpoint, save_checkpoint, train)
+                       holdout_size, init_model, load_checkpoint,
+                       save_checkpoint, train)
 
+# what each preset changes; the option defaults are the paper's settings
 PRESETS = {
-    "paper": dict(n_hidden=512, epochs=300, batch_size=1024,
-                  learning_rate=1e-3, init_std=0.1, subset=0),
-    "desk": dict(n_hidden=128, epochs=20, batch_size=256,
-                 learning_rate=1e-3, init_std=0.1, subset=10000),
+    "paper": {},
+    "desk": dict(n_hidden=128, epochs=20, batch_size=256, subset=10000),
 }
 
 # environment variables that set the BLAS thread count, on which the trained
@@ -111,9 +111,11 @@ def _check_config_value(key, value, default):
                        f"got {value!r}")
 
 
-def _check_count(count):
+def _check_count(count, rows=None):
     if count < 1:
         raise CliError(f"--count must be >= 1, got {count}")
+    if rows is not None and count > rows:
+        raise CliError(f"--count {count} exceeds the {rows} rows of the data")
 
 
 def _resolve(args):
@@ -173,9 +175,14 @@ def cmd_train(args):
         for f in fields(TrainConfig)})
     dataset, img_path = _load_dataset(args.data, config.binarize_threshold,
                                       subset=args.subset)
-    # size errors end the run before --out exists
+    # size and initial-weight errors end the run before --out exists
     stats = compute_stats(dataset)
     holdout_size(dataset.n, config)
+    try:
+        init_model(dataset.n_v, config.n_hidden, config.init_std, stats.mu,
+                   config.seed)
+    except ValueError as exc:
+        raise CliError(f"--init-std {config.init_std}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -236,9 +243,9 @@ def cmd_sample(args):
 
 def cmd_reconstruct(args):
     """originals vs one-step reconstructions"""
-    _check_count(args.count)
     model, config, _ = load_checkpoint(args.checkpoint)
     dataset, _ = _load_dataset(args.data, config.binarize_threshold)
+    _check_count(args.count, dataset.n)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5B)
     idx = rng.choice(dataset.n, size=args.count, replace=False)

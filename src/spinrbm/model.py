@@ -17,8 +17,6 @@ import numpy as np
 # exact_nll refuses models beyond this many total units (~16M joint states)
 ENUMERATION_LIMIT = 24
 
-_ENUM_CHUNK = 1 << 16
-
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -99,108 +97,86 @@ def visible_field(model, h):
 
 
 def _all_spin_states(n):
-    """All 2^n spin vectors of length n as an int8 matrix (2^n x n)."""
+    """All 2^n spin vectors of length n as an int8 matrix (2^n x n): bit j
+    of the row index is set where unit j is +1."""
     states = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1)
     return (2 * states - 1).astype(np.int8)
 
 
-def _guard_enumeration(model):
+def _exact_visible_table(model):
+    """All 2^n_v visible states (as _all_spin_states) and their exact log p(v).
+
+    The hidden spins sum out in closed form:
+    log sum_h exp(-U(v, h)) = b.(v - mu) + sum_i log 2cosh(phi_i), with
+    phi = W^T (v - mu); log Z is the log-sum-exp of that over all v.
+    Tiny models only (n_v + n_h <= 24).
+    """
     total = model.n_v + model.n_h
     if total > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration refused: n_v + n_h = {total} exceeds "
             f"limit {ENUMERATION_LIMIT}")
-
-
-def _log_unnorm_visible(model, v_batch):
-    """log sum_h exp(-U(v, h)) per row, by explicit summation over all
-    hidden states with log-sum-exp (chunked over rows)."""
-    H = _all_spin_states(model.n_h).astype(np.float64)
-    vc = v_batch.astype(np.float64) - model.mu
-    lin = vc @ model.b
-    out = np.empty(v_batch.shape[0])
-    for lo in range(0, v_batch.shape[0], _ENUM_CHUNK):
-        hi = min(lo + _ENUM_CHUNK, v_batch.shape[0])
-        scores = (vc[lo:hi] @ model.W) @ H.T
-        m = scores.max(axis=1)
-        out[lo:hi] = lin[lo:hi] + m + np.log(
-            np.exp(scores - m[:, None]).sum(axis=1))
-    return out
-
-
-def log_partition(model):
-    """log Z by enumeration of all joint states (guarded by total unit count)."""
-    _guard_enumeration(model)
     V = _all_spin_states(model.n_v)
-    log_num = _log_unnorm_visible(model, V)
+    vc = V - model.mu
+    phi = vc @ model.W
+    log_num = vc @ model.b + np.logaddexp(phi, -phi).sum(axis=1)
     m = log_num.max()
-    return float(m + np.log(np.exp(log_num - m).sum()))
+    return V, log_num - (m + np.log(np.exp(log_num - m).sum()))
+
+
+def _check_batch(batch, model, name):
+    batch = np.atleast_2d(check_spins(batch, model.n_v, name))
+    if batch.shape[0] == 0:
+        raise ValueError(f"{name}: empty batch")
+    return batch
 
 
 def exact_nll(model, dataset):
     """Average negative log-likelihood -<log p(v)> over the dataset rows,
     by exact enumeration.  Tiny models only (n_v + n_h <= 24)."""
-    _guard_enumeration(model)
-    dataset = check_spins(dataset, model.n_v, "dataset")
-    dataset = np.atleast_2d(dataset)
-    if dataset.shape[0] == 0:
-        raise ValueError("empty dataset")
-    log_z = log_partition(model)
-    log_p = _log_unnorm_visible(model, dataset) - log_z
-    return float(-log_p.mean())
+    dataset = _check_batch(dataset, model, "dataset")
+    _, log_p = _exact_visible_table(model)
+    index = (dataset > 0) @ (1 << np.arange(model.n_v))
+    return float(-log_p[index].mean())
 
 
 def exact_visible_marginal(model):
     """Exact p(v) over all 2^n_v visible states, indexed like _all_spin_states."""
-    _guard_enumeration(model)
-    V = _all_spin_states(model.n_v)
-    log_num = _log_unnorm_visible(model, V)
-    log_num -= log_num.max()
-    p = np.exp(log_num)
-    return p / p.sum()
+    return np.exp(_exact_visible_table(model)[1])
 
 
-def _phase_moments(v_batch, weights, model):
-    """Weighted statistics (sum w v, sum w (v-mu) tanh(phi)^T) over the rows."""
-    vc = v_batch.astype(np.float64)
-    mean_v = weights @ vc
-    vc -= model.mu
-    t = vc @ model.W
-    np.tanh(t, out=t)
-    # weight the (usually narrower) hidden side: rows x n_h, not rows x n_v
-    t *= weights[:, None]
-    return mean_v, vc.T @ t
-
-
-def nll_gradient(model, data_batch, model_batch):
-    """Stochastic NLL gradient: model-phase average minus data-phase average.
+def _gradient(model, data_batch, model_rows, model_weights):
+    """Model-phase average (rows weighted by model_weights) minus data-phase
+    average, in one weighted pass: data rows weigh -1/n_d.
 
     Derived from U: dU/db = -(v - mu), dU/dW = -(v - mu) h^T with h
     marginalized to tanh(W^T (v - mu)).  The returned direction ascends the
     NLL; the optimizer subtracts it.
     """
-    data_batch = np.atleast_2d(check_spins(data_batch, model.n_v, "data_batch"))
-    model_batch = np.atleast_2d(check_spins(model_batch, model.n_v, "model_batch"))
-    if data_batch.shape[0] == 0 or model_batch.shape[0] == 0:
-        raise ValueError("empty batch")
-    n_d, n_m = data_batch.shape[0], model_batch.shape[0]
-    # one pass over both phases: data rows weigh -1/n_d, model rows +1/n_m
-    weights = np.concatenate([np.full(n_d, -1.0 / n_d), np.full(n_m, 1.0 / n_m)])
-    d_b, d_W = _phase_moments(np.concatenate([data_batch, model_batch]),
-                              weights, model)
-    return GradientPair(d_b=d_b, d_W=d_W)
+    n_d = data_batch.shape[0]
+    weights = np.concatenate([np.full(n_d, -1.0 / n_d), model_weights])
+    vc = np.concatenate([data_batch, model_rows]).astype(np.float64)
+    d_b = weights @ vc
+    vc -= model.mu
+    t = vc @ model.W
+    np.tanh(t, out=t)
+    # weight the (usually narrower) hidden side: rows x n_h, not rows x n_v
+    t *= weights[:, None]
+    return GradientPair(d_b=d_b, d_W=vc.T @ t)
+
+
+def nll_gradient(model, data_batch, model_batch):
+    """Stochastic NLL gradient: model-phase average minus data-phase average,
+    each model row weighing 1/n_m."""
+    data_batch = _check_batch(data_batch, model, "data_batch")
+    model_batch = _check_batch(model_batch, model, "model_batch")
+    n_m = model_batch.shape[0]
+    return _gradient(model, data_batch, model_batch, np.full(n_m, 1.0 / n_m))
 
 
 def exact_nll_gradient(model, data_batch):
     """NLL gradient with the model phase computed by exact enumeration
     (weights p(v) over all visible states).  Tiny models only."""
-    _guard_enumeration(model)
-    data_batch = np.atleast_2d(check_spins(data_batch, model.n_v, "data_batch"))
-    if data_batch.shape[0] == 0:
-        raise ValueError("empty batch")
-    w_d = np.full(data_batch.shape[0], 1.0 / data_batch.shape[0])
-    v_d, o_d = _phase_moments(data_batch, w_d, model)
-    V = _all_spin_states(model.n_v)
-    p = exact_visible_marginal(model)
-    v_m, o_m = _phase_moments(V, p, model)
-    return GradientPair(d_b=v_m - v_d, d_W=o_m - o_d)
+    data_batch = _check_batch(data_batch, model, "data_batch")
+    V, log_p = _exact_visible_table(model)
+    return _gradient(model, data_batch, V, np.exp(log_p))

@@ -35,10 +35,11 @@ def draw_spins(phi, u):
     if phi.shape != u.shape:
         raise ValueError(f"shape mismatch: phi {phi.shape} vs u {u.shape}")
     # sigma(2 phi) = 1 / (1 + exp(-2 phi)), computed in one buffer; exp
-    # overflows to inf for phi below -44 (float32) or -354 (float64), which
-    # gives the correct limit p = 0
-    p_plus = np.multiply(phi, -2.0, out=np.empty(phi.shape, phi.dtype))
+    # overflows to inf for phi below -44 (float32) or -354 (float64), and
+    # -2 phi for |phi| beyond half the float range, which gives the correct
+    # limits p = 0 and p = 1
     with np.errstate(over="ignore"):
+        p_plus = np.multiply(phi, -2.0, out=np.empty(phi.shape, phi.dtype))
         np.exp(p_plus, out=p_plus)
     p_plus += 1.0
     np.divide(1.0, p_plus, out=p_plus)
@@ -103,7 +104,7 @@ def sample_phi(model, stats, batch, rng):
     L is the Cholesky factor, or V sqrt(max(lambda, 0)) from the
     eigendecomposition when C is singular (zero weights, a zero-width Q,
     or n_h > rank Sigma).  A, C, z and phi are float32; only the factoring
-    of C runs in float64.
+    of C runs in float64.  Raises ValueError when C overflows float32.
     """
     if stats is None:
         raise ValueError("data statistics with a covariance factor Q required")
@@ -111,8 +112,12 @@ def sample_phi(model, stats, batch, rng):
     if Q.shape[0] != model.n_v:
         raise ValueError(
             f"Q rows {Q.shape[0]} do not match model n_v {model.n_v}")
-    A = Q.T @ model.W32
-    C = (A.T @ A).astype(np.float64)
+    # entries within float32 range can still overflow the products
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = Q.T @ model.W32
+        C = (A.T @ A).astype(np.float64)
+    if not np.all(np.isfinite(C)):
+        raise ValueError("covariance W^T Sigma W overflows float32")
     try:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:

@@ -76,8 +76,9 @@ class AdamState:
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite gradient or metric, or weights beyond float32 range;
-    carries the last in-range model and the metrics logged so far."""
+    """Non-finite gradient or metric, weights beyond float32 range, or a
+    sampler covariance W^T Sigma W that overflows float32; carries the last
+    in-range model and the metrics logged so far."""
 
     def __init__(self, message, model, metrics):
         super().__init__(message)
@@ -190,19 +191,24 @@ def train(dataset, stats, config, on_epoch=None):
         for i, batch in enumerate(minibatches(train_set, config.batch_size,
                                               config.seed, epoch)):
             neg_rng = make_rng(config.seed, _STREAM_NEG, epoch, i)
-            neg = _negative_batch(model, stats, batch, config, neg_rng)
-            grads = nll_gradient(model, batch, neg)
             try:
+                neg = _negative_batch(model, stats, batch, config, neg_rng)
+                grads = nll_gradient(model, batch, neg)
                 (b, W), adam = adam_step(adam, grads, config.learning_rate,
                                          (model.b, model.W))
                 model = replace(model, b=b, W=W)
             except (FloatingPointError, ValueError) as exc:
-                # a non-finite gradient, or a step that leaves float32 range
+                # a sampler covariance that overflows float32, a non-finite
+                # gradient, or a step that leaves float32 range
                 raise TrainingDiverged(
                     f"epoch {epoch} batch {i}: {exc}", model, metrics) from exc
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            record = _evaluate(model, stats, holdout, config, epoch, t0)
+            try:
+                record = _evaluate(model, stats, holdout, config, epoch, t0)
+            except ValueError as exc:  # the sampler covariance overflows
+                raise TrainingDiverged(
+                    f"epoch {epoch}: {exc}", model, metrics) from exc
             if not (np.isfinite(record.energy_coefficient)
                     and np.isfinite(record.recon_error)):
                 raise TrainingDiverged(

@@ -104,10 +104,16 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def write_synthetic_idx(directory):
+    """Write an IDX train image file of 2000 synthetic digit-like images
+    into directory; returns the directory."""
+    gen = np.random.default_rng(99)
+    images, _ = synthetic_digits(gen, 2000)
+    (directory / "train-images-idx3-ubyte").write_bytes(idx_image_bytes(images))
+    return directory
+
+
 @pytest.fixture
 def synthetic_idx_dir(tmp_path):
     """Directory with an IDX train image file of synthetic digit-like data."""
-    gen = np.random.default_rng(99)
-    images, _ = synthetic_digits(gen, 2000)
-    (tmp_path / "train-images-idx3-ubyte").write_bytes(idx_image_bytes(images))
-    return tmp_path
+    return write_synthetic_idx(tmp_path)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import spinrbm.training
-from conftest import idx_image_bytes, random_model, with_config
+from conftest import (idx_image_bytes, random_model, with_config,
+                      write_synthetic_idx)
 from spinrbm.cli import OPTIONS, main
 from spinrbm.data import DataStats
 from spinrbm.images import read_pgm
@@ -33,10 +34,13 @@ def tiny_checkpoint(path, **config):
     return path
 
 
-@pytest.fixture
-def trained_run(synthetic_idx_dir, tmp_path):
-    out = tmp_path / "run"
-    code = main(["train", "--data", str(synthetic_idx_dir), "--out", str(out),
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A run trained on synthetic digits, made once per module: no test
+    writes into its directory."""
+    data = write_synthetic_idx(tmp_path_factory.mktemp("idx"))
+    out = tmp_path_factory.mktemp("trained") / "run"
+    code = main(["train", "--data", str(data), "--out", str(out),
                  "--seed", "5", *TRAIN_FLAGS])
     assert code == 0
     return out
@@ -126,8 +130,9 @@ class TestTrain:
         ("--init-std", "nan", "init_std must be finite"),
         ("--threshold", "1.5", "threshold must lie in (0, 1)"),
         ("--subset", "1", "need at least 2 samples"),
-        ("--subset", "60", "training split holds 54 rows")],
-        ids=["init_std", "threshold", "subset_1", "subset_60"])
+        ("--subset", "60", "training split holds 54 rows"),
+        ("--init-std", "1e300", "--init-std")],
+        ids=["init_std", "threshold", "subset_1", "subset_60", "init_std_1e300"])
     def test_bad_value_leaves_no_output(self, synthetic_idx_dir, tmp_path,
                                         capsys, flag, value, reason):
         out = tmp_path / "run"
@@ -166,6 +171,18 @@ class TestTrain:
         assert np.abs(model.W).max() < 1.0
         assert (out / "metrics.csv").read_text().splitlines() == [
             "epoch,energy_coefficient,recon_error,wall_ms"]
+
+    def test_overflowing_sampler_covariance_diverges(
+            self, synthetic_idx_dir, tmp_path, capsys):
+        # the first Adam step moves W by ~1e19, within float32 range, but
+        # W^T Sigma W overflows it: the next negative batch cannot be drawn
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), *TRAIN_FLAGS, "--learning-rate", "1e19"])
+        assert_error_line(code, capsys, "training diverged: epoch 1 batch 1: "
+                                        "covariance W^T Sigma W overflows")
+        model, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        assert model.n_h == 32
 
     def test_initial_weights_beyond_float32_range_rejected(
             self, synthetic_idx_dir, tmp_path, capsys):
@@ -254,6 +271,18 @@ class TestSample:
         assert_error_line(code, capsys, f"ck.rbm: {reason}")
         assert not out.exists()
 
+    def test_checkpoint_with_overflowing_covariance_rejected(self, tmp_path,
+                                                            capsys):
+        # 5.8e22 lies within float32 range, but W^T Sigma W does not
+        path = tmp_path / "ck.rbm"
+        model = random_model(np.random.default_rng(0), 4, 3)
+        save_checkpoint(model, TrainConfig(n_hidden=3),
+                        DataStats(mu=model.mu, Q=np.full((4, 4), 5.8e22)), path)
+        out = tmp_path / "o.pgm"
+        code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
+        assert_error_line(code, capsys, "covariance W^T Sigma W overflows")
+        assert not out.exists()
+
     def test_bad_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.rbm"
         bad.write_bytes(b"nope")
@@ -305,11 +334,14 @@ class TestReconstruct:
 
     def test_zero_count_rejected(self, trained_run, synthetic_idx_dir,
                                  tmp_path, capsys):
-        code = main(["reconstruct", "--checkpoint",
-                     str(trained_run / "checkpoint.rbm"),
-                     "--data", str(synthetic_idx_dir),
-                     "--out", str(tmp_path / "rec.pgm"), "--count", "0"])
-        assert_error_line(code, capsys, "--count")
+        # and a count beyond the 2000 rows of the data
+        for count in ("0", "5000"):
+            code = main(["reconstruct", "--checkpoint",
+                         str(trained_run / "checkpoint.rbm"),
+                         "--data", str(synthetic_idx_dir),
+                         "--out", str(tmp_path / "rec.pgm"), "--count", count])
+            assert_error_line(code, capsys, "--count")
+            assert not (tmp_path / "rec.pgm").exists()
 
 
 class TestEval:

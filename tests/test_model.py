@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (brute_hidden_mean, brute_nll, random_model,
-                      random_spins)
+from conftest import (brute_hidden_mean, brute_nll, brute_visible_probs,
+                      random_model, random_spins)
 from spinrbm.data import Dataset
 from spinrbm.metrics import energy_coefficient, recon_error, reconstruct
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
-                           nll_gradient, visible_field)
+                           exact_visible_marginal, nll_gradient, visible_field)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_hidden, sample_visible
 
 
@@ -101,6 +101,58 @@ class TestExactNll:
         m = RbmModel(W=np.zeros((20, 5)), b=np.zeros(20), mu=np.zeros(20))
         with pytest.raises(ValueError, match="enumeration refused"):
             exact_nll(m, np.ones((1, 20), dtype=np.int8))
+
+
+# shapes with n_h < n_v and with n_h > n_v, centered and not
+_ORACLE_CASES = [pytest.param(n_v, n_h, centered, id=f"{n_v}x{n_h}-{tag}")
+                 for n_v, n_h in ((5, 3), (4, 1), (3, 5), (2, 6))
+                 for centered, tag in ((True, "centered"), (False, "mu"))]
+
+
+def _states(n_v):
+    """Visible states in the bit order of exact_visible_marginal: bit j of
+    the index is set where v_j = +1."""
+    return [tuple(1 if i >> j & 1 else -1 for j in range(n_v))
+            for i in range(1 << n_v)]
+
+
+@pytest.mark.parametrize("n_v, n_h, centered", _ORACLE_CASES)
+class TestOraclesMatchBruteForce:
+    """Each exact oracle against the plain-loop references of conftest."""
+
+    @staticmethod
+    def case(n_v, n_h, centered):
+        gen = np.random.default_rng(100 * n_v + n_h + centered)
+        return (random_model(gen, n_v, n_h, scale=0.7, centered=centered),
+                random_spins(gen, (11, n_v)))
+
+    def test_nll(self, n_v, n_h, centered):
+        m, data = self.case(n_v, n_h, centered)
+        assert exact_nll(m, data) == pytest.approx(brute_nll(m, data), rel=1e-12)
+
+    def test_visible_marginal(self, n_v, n_h, centered):
+        m, _ = self.case(n_v, n_h, centered)
+        probs = brute_visible_probs(m)
+        expected = [probs[v] for v in _states(n_v)]
+        assert np.abs(exact_visible_marginal(m) - expected).max() < 1e-12
+
+    def test_gradient(self, n_v, n_h, centered):
+        m, data = self.case(n_v, n_h, centered)
+        probs = brute_visible_probs(m)
+
+        def moments(rows, weights):
+            d_b, d_W = np.zeros(n_v), np.zeros((n_v, n_h))
+            for v, w in zip(rows, weights):
+                v = np.array(v, dtype=float)
+                d_b += w * v
+                d_W += w * np.outer(v - m.mu, brute_hidden_mean(m, v))
+            return d_b, d_W
+
+        b_m, W_m = moments(probs.keys(), probs.values())
+        b_d, W_d = moments(data, [1 / len(data)] * len(data))
+        g = exact_nll_gradient(m, data)
+        assert np.abs(g.d_b - (b_m - b_d)).max() < 1e-12
+        assert np.abs(g.d_W - (W_m - W_d)).max() < 1e-12
 
 
 class TestGradient:

@@ -42,10 +42,11 @@ class TestDrawSpins:
 
     def test_float32_matches_logistic_reference_exactly(self):
         # float32 fields are worked in float32; exp(-2 phi) overflows below
-        # phi = -44.4, which must give p = 0 and raise no warning
+        # phi = -44.4, and -2 phi beyond |phi| = 1.7e38, which must give
+        # p = 0 or 1 and raise no warning
         gen = np.random.default_rng(2)
         phi = gen.normal(0, 3, (300, 40)).astype(np.float32)
-        phi[:, :6] = [44.0, -44.0, 400.0, -400.0, 0.0, -0.0]
+        phi[:, :8] = [44.0, -44.0, 400.0, -400.0, 0.0, -0.0, 3e38, -3e38]
         u = gen.random(phi.shape, dtype=np.float32)
         u[:3, :6] = 0.0
         with np.errstate(over="ignore"):
@@ -58,6 +59,7 @@ class TestDrawSpins:
         assert out.dtype == np.int8
         assert np.array_equal(out, ref)
         assert np.all(out[:, 3] == -1) and np.all(out[:, 2] == 1)
+        assert np.all(out[:, 7] == -1) and np.all(out[:, 6] == 1)
 
     def test_float32_field_with_float64_uniforms(self):
         # mixed dtypes: p is computed in float32 and widened exactly; u is
