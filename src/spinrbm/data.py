@@ -13,9 +13,6 @@ from .sampling import make_rng
 
 IDX_MAGIC_IMAGES = 0x00000803
 
-# eigenvalue below this is treated as numerically zero rank
-_RANK_TOL = 1e-12
-
 # rows per block in binarize and compute_stats: their temporaries hold at
 # most this many rows, never the whole dataset
 _ROWS = 4096
@@ -48,26 +45,33 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DataStats:
-    """Empirical visible mean mu and a factor Q with Q Q^T = Sigma."""
+    """Empirical visible mean mu and covariance sigma (n_v x n_v).
+
+    sigma must be exactly symmetric, with finite entries within float32
+    range: the sampler casts it to float32 (sigma32).
+    """
 
     mu: np.ndarray
-    Q: np.ndarray
+    sigma: np.ndarray
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=np.float64)
-        Q = np.asarray(self.Q, dtype=np.float64)
+        sigma = np.asarray(self.sigma, dtype=np.float64)
         if mu.ndim != 1 or not np.all(np.isfinite(mu)):
             raise ValueError(f"mu must be a finite vector, got shape {mu.shape}")
-        if Q.ndim != 2 or Q.shape[0] != mu.shape[0]:
-            raise ValueError(f"Q shape {Q.shape} inconsistent with mu {mu.shape}")
-        check_float32_range(Q, "Q")
+        if sigma.shape != (mu.shape[0],) * 2:
+            raise ValueError(
+                f"sigma shape {sigma.shape} inconsistent with mu {mu.shape}")
+        check_float32_range(sigma, "sigma")
+        if not np.array_equal(sigma, sigma.T):
+            raise ValueError("sigma must be symmetric")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "sigma", sigma)
 
     @cached_property
-    def Q32(self):
-        """Q cast to float32 for the sampler, once per DataStats."""
-        return self.Q.astype(np.float32)
+    def sigma32(self):
+        """sigma cast to float32 for the sampler, once per DataStats."""
+        return self.sigma.astype(np.float32)
 
 
 def _read_bytes(path):
@@ -126,17 +130,14 @@ def binarize(images, threshold=0.5):
 
 
 def compute_stats(dataset):
-    """Column mean and eigendecomposition square root of the covariance.
+    """Column mean mu and covariance sigma of the spins.
 
-    Sigma = (1/N) sum (v - mu)(v - mu)^T = G/N - mu mu^T, where the Gram
+    sigma = (1/N) sum (v - mu)(v - mu)^T = G/N - mu mu^T, where the Gram
     G = S^T S of the spins is summed over blocks of _ROWS rows.  A float32
     block product holds integers of magnitude <= _ROWS < 2^24, so it is
-    exact, and so is their float64 sum: Sigma does not depend on the row
-    order or the BLAS thread count.  Q = V diag(sqrt(lambda)) over the
-    eigenvalues above the rank tolerance (the rest, negative rounding
-    included, are dropped), so Q is n_v x r with r <= n_v.
-    Eigendecomposition rather than Cholesky because MNIST's Sigma is
-    rank-deficient (constant border pixels).
+    exact, and so is their float64 sum: G is the integer Gram, and sigma
+    is exactly symmetric and does not depend on the row order or the BLAS
+    thread count.
     """
     spins = dataset.spins
     n, n_v = spins.shape
@@ -149,10 +150,7 @@ def compute_stats(dataset):
         sigma += block.T @ block
     sigma /= n
     sigma -= np.outer(mu, mu)
-    evals, evecs = np.linalg.eigh(sigma)
-    keep = evals > _RANK_TOL
-    Q = evecs[:, keep] * np.sqrt(evals[keep])
-    return DataStats(mu=mu, Q=Q)
+    return DataStats(mu=mu, sigma=sigma)
 
 
 def minibatches(dataset, batch_size, seed, epoch):

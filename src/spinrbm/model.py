@@ -70,7 +70,7 @@ class GradientPair:
 
 def check_float32_range(arr, name):
     """Reject an array with an entry that is not finite or lies beyond float32
-    range: the samplers cast W, b, mu and Q to float32."""
+    range: the samplers cast W, b, mu and sigma to float32."""
     # NaN fails the comparisons too; an empty array passes
     if arr.size and not -_F32_MAX <= arr.min() <= arr.max() <= _F32_MAX:
         raise ValueError(f"{name} entries must be finite and within float32 range")

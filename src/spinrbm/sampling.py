@@ -65,24 +65,36 @@ def make_rng(seed, *stream):
 def sample_hidden(model, v_batch, rng):
     """Draw h ~ p(h|v) for each row: h_i = +1 w.p. sigma(2 phi_i).
 
-    The field W^T (v - mu) and the uniforms are float32.
+    The field W^T (v - mu) and the uniforms are float32.  Raises
+    ValueError when the field overflows float32.
     """
     v = np.atleast_2d(check_spins(v_batch, model.n_v, "v"))
     vc = v.astype(np.float32)
     vc -= model.mu.astype(np.float32)
-    phi = vc @ model.W32
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = vc @ model.W32
+    _check_field(phi, "hidden")
     return draw_spins(phi, rng.random(phi.shape, dtype=np.float32))
 
 
 def sample_visible(model, h_batch, rng):
     """Draw v ~ p(v|h) for each row: v_j = +1 w.p. sigma(2 (b + W h)_j).
 
-    The field b + W h and the uniforms are float32.
+    The field b + W h and the uniforms are float32.  Raises ValueError when
+    the field overflows float32.
     """
     h = np.atleast_2d(check_spins(h_batch, model.n_h, "h"))
-    field = h.astype(np.float32) @ model.W32.T
-    field += model.b.astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = h.astype(np.float32) @ model.W32.T
+        field += model.b.astype(np.float32)
+    _check_field(field, "visible")
     return draw_spins(field, rng.random(field.shape, dtype=np.float32))
+
+
+def _check_field(field, layer):
+    # entries within float32 range can still overflow their sums
+    if not np.all(np.isfinite(field)):
+        raise ValueError(f"{layer} field overflows float32")
 
 
 def gibbs_steps(model, v0, k, rng):
@@ -99,23 +111,22 @@ def gibbs_steps(model, v0, k, rng):
 def sample_phi(model, stats, batch, rng):
     """Draw hidden fields phi ~ N(0, W^T Sigma W), one float32 row per sample.
 
-    With A = Q^T W the covariance is C = A^T A = W^T Sigma W (Q Q^T = Sigma),
-    an n_h x n_h matrix; phi = z L^T with z ~ N(0, I_{n_h}) and L L^T = C.
-    L is the Cholesky factor, or V sqrt(max(lambda, 0)) from the
-    eigendecomposition when C is singular (zero weights, a zero-width Q,
-    or n_h > rank Sigma).  A, C, z and phi are float32; only the factoring
-    of C runs in float64.  Raises ValueError when C overflows float32.
+    C = W^T (Sigma W) is n_h x n_h; phi = z L^T with z ~ N(0, I_{n_h}) and
+    L L^T = C.  L is the Cholesky factor, or V sqrt(max(lambda, 0)) from
+    the eigendecomposition when C is singular (zero weights, Sigma = 0, or
+    n_h > rank Sigma).  Sigma W, C, z and phi are float32; only the
+    factoring of C runs in float64, and reads C's lower triangle only.
+    Raises ValueError when C overflows float32.
     """
     if stats is None:
-        raise ValueError("data statistics with a covariance factor Q required")
-    Q = stats.Q32
-    if Q.shape[0] != model.n_v:
+        raise ValueError("data statistics with a covariance sigma required")
+    sigma = stats.sigma32
+    if sigma.shape[0] != model.n_v:
         raise ValueError(
-            f"Q rows {Q.shape[0]} do not match model n_v {model.n_v}")
+            f"sigma rows {sigma.shape[0]} do not match model n_v {model.n_v}")
     # entries within float32 range can still overflow the products
     with np.errstate(over="ignore", invalid="ignore"):
-        A = Q.T @ model.W32
-        C = (A.T @ A).astype(np.float64)
+        C = (model.W32.T @ (sigma @ model.W32)).astype(np.float64)
     if not np.all(np.isfinite(C)):
         raise ValueError("covariance W^T Sigma W overflows float32")
     try:

@@ -9,6 +9,7 @@ import json
 import math
 import struct
 import time
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from .model import RbmModel, nll_gradient
 from .sampling import belief_generate, gibbs_steps, make_rng
 
 CHECKPOINT_MAGIC = b"RBM0"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 NEGATIVE_MODES = ("belief_cd0", "cd_k_from_data")
 
@@ -77,8 +78,8 @@ class AdamState:
 
 class TrainingDiverged(RuntimeError):
     """Non-finite gradient or metric, weights beyond float32 range, or a
-    sampler covariance W^T Sigma W that overflows float32; carries the last
-    in-range model and the metrics logged so far."""
+    sampler covariance W^T Sigma W or Gibbs field that overflows float32;
+    carries the last in-range model and the metrics logged so far."""
 
     def __init__(self, message, model, metrics):
         super().__init__(message)
@@ -198,15 +199,15 @@ def train(dataset, stats, config, on_epoch=None):
                                          (model.b, model.W))
                 model = replace(model, b=b, W=W)
             except (FloatingPointError, ValueError) as exc:
-                # a sampler covariance that overflows float32, a non-finite
-                # gradient, or a step that leaves float32 range
+                # a sampler covariance or field that overflows float32, a
+                # non-finite gradient, or a step that leaves float32 range
                 raise TrainingDiverged(
                     f"epoch {epoch} batch {i}: {exc}", model, metrics) from exc
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             try:
                 record = _evaluate(model, stats, holdout, config, epoch, t0)
-            except ValueError as exc:  # the sampler covariance overflows
+            except ValueError as exc:  # a sampler covariance or field overflows
                 raise TrainingDiverged(
                     f"epoch {epoch}: {exc}", model, metrics) from exc
             if not (np.isfinite(record.energy_coefficient)
@@ -244,36 +245,41 @@ def _unpack(fmt, buf, offset):
 
 
 def _unpack_array(buf, offset, shape):
-    end = offset + 8 * math.prod(shape)
+    count = math.prod(shape)
+    end = offset + 8 * count
     if end > len(buf):
         raise ValueError(f"checkpoint truncated at offset {offset}")
-    arr = np.frombuffer(buf[offset:end], dtype="<f8").reshape(shape).copy()
-    return arr, end
+    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
+    return arr.reshape(shape).copy(), end
 
 
 def save_checkpoint(model, config, stats, path):
     """Serialize model + data statistics + config to the binary checkpoint
     format.
 
-    Layout: magic "RBM0", version u32, (n_v, n_h, r) u32, little-endian
-    float64 arrays b, W, mu, Q, then a length-prefixed JSON config echo.
-    Round-trips bit-exactly.
+    Layout: magic "RBM0", version u32, the CRC32 u32 of every byte after
+    it, (n_v, n_h) u32, little-endian float64 arrays b, W, mu, sigma
+    (n_v x n_v), then a length-prefixed JSON config echo.  Round-trips
+    bit-exactly.
     """
     config_json = json.dumps(config.__dict__, sort_keys=True).encode()
-    parts = [CHECKPOINT_MAGIC,
-             struct.pack("<IIII", CHECKPOINT_VERSION, model.n_v, model.n_h,
-                         stats.Q.shape[1]),
-             _pack_array(model.b), _pack_array(model.W),
-             _pack_array(model.mu), _pack_array(stats.Q),
-             struct.pack("<I", len(config_json)), config_json]
-    atomic_write_bytes(path, b"".join(parts))
+    body = [struct.pack("<II", model.n_v, model.n_h),
+            _pack_array(model.b), _pack_array(model.W),
+            _pack_array(model.mu), _pack_array(stats.sigma),
+            struct.pack("<I", len(config_json)), config_json]
+    crc = 0
+    for part in body:
+        crc = zlib.crc32(part, crc)
+    header = struct.pack("<II", CHECKPOINT_VERSION, crc)
+    atomic_write_bytes(path, b"".join([CHECKPOINT_MAGIC, header, *body]))
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, config, stats).
 
     Every malformed input raises ValueError naming the file, and the byte
-    offset, config key or array at fault.
+    offset, config key or array at fault; bytes that change no size fail
+    the checksum.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -286,23 +292,26 @@ def load_checkpoint(path):
 def _parse_checkpoint(buf):
     if buf[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {buf[:4]!r}")
-    (version, n_v, n_h, r), off = _unpack("<IIII", buf, 4)
+    (version, crc), off = _unpack("<II", buf, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    (n_v, n_h), off = _unpack("<II", buf, off)
     if min(n_v, n_h) < 1:
-        raise ValueError(f"empty layer (n_v {n_v}, n_h {n_h}) at offset 8")
+        raise ValueError(f"empty layer (n_v {n_v}, n_h {n_h}) at offset 12")
     b, off = _unpack_array(buf, off, (n_v,))
     W, off = _unpack_array(buf, off, (n_v, n_h))
     mu, off = _unpack_array(buf, off, (n_v,))
-    Q, off = _unpack_array(buf, off, (n_v, r))
+    sigma, off = _unpack_array(buf, off, (n_v, n_v))
     (json_len,), off = _unpack("<I", buf, off)
     if off + json_len != len(buf):
         raise ValueError(f"config block size mismatch at offset {off}")
+    if zlib.crc32(memoryview(buf)[12:]) != crc:
+        raise ValueError(f"checksum mismatch: header holds {crc:08x}")
     config = _parse_config(buf[off:off + json_len])
     if config.n_hidden != n_h:
         raise ValueError(f"checkpoint config key 'n_hidden' is "
                          f"{config.n_hidden}, header n_h is {n_h}")
-    return RbmModel(W=W, b=b, mu=mu), config, DataStats(mu=mu, Q=Q)
+    return RbmModel(W=W, b=b, mu=mu), config, DataStats(mu=mu, sigma=sigma)
 
 
 def _parse_config(blob):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ def random_model(rng, n_v, n_h, scale=0.5, centered=True):
 
 def random_spins(rng, shape):
     return np.where(rng.random(shape) < 0.5, 1, -1).astype(np.int8)
+
+
+def random_sigma(rng, n_v, rank):
+    """An exactly symmetric n_v x n_v covariance of the given rank."""
+    a = rng.normal(size=(n_v, rank))
+    sigma = a @ a.T
+    return (sigma + sigma.T) / 2
 
 
 # --- brute-force oracles (plain python loops, no shared code with spinrbm) ---
@@ -70,7 +78,14 @@ def with_config(blob, config, fields):
     old = json.dumps(config.__dict__, sort_keys=True).encode()
     assert blob.endswith(old)
     new = json.dumps(fields).encode()
-    return blob[:-len(old) - 4] + struct.pack("<I", len(new)) + new
+    return resealed(blob[:-len(old) - 4] + struct.pack("<I", len(new)) + new)
+
+
+def resealed(blob):
+    """Checkpoint bytes with the header checksum recomputed, so that an
+    edited payload reaches the checks behind it."""
+    crc = zlib.crc32(blob[12:])
+    return blob[:8] + struct.pack("<I", crc) + blob[12:]
 
 
 # --- synthetic IDX data ---

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import idx_image_bytes, random_spins, synthetic_digits
+from conftest import idx_image_bytes, random_sigma, random_spins, synthetic_digits
 from spinrbm.cli import main
 from spinrbm.data import Dataset, binarize, compute_stats, load_idx
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
@@ -102,7 +102,7 @@ def test_criterion_3_field_law():
     n = 10 ** 5
     phi = sample_phi(model, stats, n, make_rng(30))
     emp = phi.T @ phi / n
-    target = model.W.T @ (stats.Q @ stats.Q.T) @ model.W
+    target = model.W.T @ stats.sigma @ model.W
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2) / n)
     max_dev = np.abs((emp - target) / np.maximum(se, 1e-300)).max()
     elapsed = time.perf_counter() - t0
@@ -221,7 +221,7 @@ def test_criterion_8_checkpoint_roundtrip(tmp_path):
         n_v, n_h, r = gen.integers(2, 12, 3)
         model = RbmModel(W=gen.normal(0, 1, (n_v, n_h)), b=gen.normal(0, 1, n_v),
                          mu=gen.uniform(-1, 1, n_v))
-        stats = DataStats(mu=model.mu, Q=gen.normal(size=(n_v, r)))
+        stats = DataStats(mu=model.mu, sigma=random_sigma(gen, n_v, r))
         config = TrainConfig(n_hidden=int(n_h), epochs=1, batch_size=1, seed=i)
         path = tmp_path / f"m{i}.rbm"
         save_checkpoint(model, config, stats, path)
@@ -229,6 +229,6 @@ def test_criterion_8_checkpoint_roundtrip(tmp_path):
         ok &= (model.W.tobytes() == m2.W.tobytes()
                and model.b.tobytes() == m2.b.tobytes()
                and model.mu.tobytes() == m2.mu.tobytes()
-               and stats.Q.tobytes() == s2.Q.tobytes()
+               and stats.sigma.tobytes() == s2.sigma.tobytes()
                and c2 == config)
     report(8, ok, "10 random checkpoints round-trip bitwise identical")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spinrbm.training
-from conftest import (idx_image_bytes, random_model, with_config,
+from conftest import (idx_image_bytes, random_model, resealed, with_config,
                       write_synthetic_idx)
 from spinrbm.cli import OPTIONS, main
 from spinrbm.data import DataStats
@@ -26,11 +26,12 @@ def assert_error_line(code, capsys, reason):
     assert "Traceback" not in err
 
 
-def tiny_checkpoint(path, **config):
+def tiny_checkpoint(path, model=None, sigma=np.eye(4), **config):
     """A checkpoint of a 2x2-pixel model (n_v = 4, n_h = 3)."""
-    model = random_model(np.random.default_rng(0), 4, 3)
+    if model is None:
+        model = random_model(np.random.default_rng(0), 4, 3)
     save_checkpoint(model, TrainConfig(n_hidden=3, **config),
-                    DataStats(mu=model.mu, Q=np.eye(4)), path)
+                    DataStats(mu=model.mu, sigma=sigma), path)
     return path
 
 
@@ -184,6 +185,19 @@ class TestTrain:
         model, _, _ = load_checkpoint(out / "checkpoint.rbm")
         assert model.n_h == 32
 
+    def test_overflowing_gibbs_field_diverges(self, synthetic_idx_dir,
+                                              tmp_path, capsys):
+        # W stays within float32 range, but the Gibbs fields off the data
+        # overflow it
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), *TRAIN_FLAGS, "--negative-mode",
+                     "cd_k_from_data", "--learning-rate", "1e37"])
+        assert_error_line(code, capsys, "training diverged: epoch 1 batch 1: "
+                                        "hidden field overflows float32")
+        model, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        assert model.n_h == 32
+
     def test_initial_weights_beyond_float32_range_rejected(
             self, synthetic_idx_dir, tmp_path, capsys):
         # any warning fails the suite, so this also pins that none is printed
@@ -249,11 +263,13 @@ class TestSample:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    # DataStats checks Q and RbmModel checks W
+    # DataStats checks sigma and RbmModel checks W; the test keeps the name
+    # of the covariance factor that sigma replaced
     @pytest.mark.parametrize("array, value, reason", [
-        pytest.param("Q", np.nan, "Q entries must be finite", id="nan"),
-        pytest.param("Q", np.inf, "Q entries must be finite", id="inf"),
-        pytest.param("Q", 1e200, "Q entries must be finite", id="1e+200"),
+        pytest.param("sigma", np.nan, "sigma entries must be finite", id="nan"),
+        pytest.param("sigma", np.inf, "sigma entries must be finite", id="inf"),
+        pytest.param("sigma", 1e200, "sigma entries must be finite",
+                     id="1e+200"),
         pytest.param("W", np.nan, "W entries must be finite", id="W-nan"),
         pytest.param("W", np.inf, "W entries must be finite", id="W-inf"),
         pytest.param("W", 1e200, "W entries must be finite", id="W-1e200"),
@@ -262,10 +278,11 @@ class TestSample:
                                                  array, value, reason):
         path = tiny_checkpoint(tmp_path / "ck.rbm")
         blob = bytearray(path.read_bytes())
-        # after the 20-byte header: b (4), W (4 x 3), mu (4), Q (4 x 4)
-        at, size = {"W": (20 + 8 * 4, 12), "Q": (20 + 8 * (4 + 12 + 4), 16)}[array]
+        # after the 20-byte header: b (4), W (4 x 3), mu (4), sigma (4 x 4)
+        at, size = {"W": (20 + 8 * 4, 12),
+                    "sigma": (20 + 8 * (4 + 12 + 4), 16)}[array]
         blob[at:at + 8 * size] = np.full(size, value).tobytes()
-        path.write_bytes(bytes(blob))
+        path.write_bytes(resealed(bytes(blob)))
         out = tmp_path / "o.pgm"
         code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
         assert_error_line(code, capsys, f"ck.rbm: {reason}")
@@ -273,14 +290,37 @@ class TestSample:
 
     def test_checkpoint_with_overflowing_covariance_rejected(self, tmp_path,
                                                             capsys):
-        # 5.8e22 lies within float32 range, but W^T Sigma W does not
-        path = tmp_path / "ck.rbm"
-        model = random_model(np.random.default_rng(0), 4, 3)
-        save_checkpoint(model, TrainConfig(n_hidden=3),
-                        DataStats(mu=model.mu, Q=np.full((4, 4), 5.8e22)), path)
+        # Sigma W = 1.2e38 lies within float32 range, W^T Sigma W does not
+        model = RbmModel(W=np.ones((4, 3)), b=np.zeros(4), mu=np.zeros(4))
+        path = tiny_checkpoint(tmp_path / "ck.rbm", model,
+                               np.full((4, 4), 3e37))
         out = tmp_path / "o.pgm"
         code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
         assert_error_line(code, capsys, "covariance W^T Sigma W overflows")
+        assert not out.exists()
+
+    def test_flipped_byte_error_line(self, tmp_path, capsys):
+        # magic, version, checksum, n_v, n_h, b, W, mu, sigma, the config
+        # length and the config echo
+        blob = tiny_checkpoint(tmp_path / "ck.rbm").read_bytes()
+        out = tmp_path / "o.pgm"
+        for at in (0, 5, 8, 12, 17, 20, 60, 170, 300, 309, len(blob) - 1):
+            bad = bytearray(blob)
+            bad[at] ^= 0x01
+            (tmp_path / "bad.rbm").write_bytes(bytes(bad))
+            code = main(["sample", "--checkpoint", str(tmp_path / "bad.rbm"),
+                         "--out", str(out)])
+            assert_error_line(code, capsys, "bad.rbm: ")
+            assert not out.exists()
+
+    def test_overflowing_gibbs_field_rejected(self, tmp_path, capsys):
+        # Sigma = 0 keeps phi at 0, but the fields of the Gibbs steps sum
+        # entries of 2e38
+        model = RbmModel(W=np.full((4, 3), 2e38), b=np.zeros(4), mu=np.zeros(4))
+        path = tiny_checkpoint(tmp_path / "ck.rbm", model, np.zeros((4, 4)))
+        out = tmp_path / "o.pgm"
+        code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
+        assert_error_line(code, capsys, "field overflows float32")
         assert not out.exists()
 
     def test_bad_checkpoint(self, tmp_path):
@@ -293,7 +333,7 @@ class TestSample:
         model = random_model(np.random.default_rng(0), 4, 3)
         config = TrainConfig(n_hidden=3)
         path = tmp_path / "ck.rbm"
-        stats = DataStats(mu=model.mu, Q=np.eye(4))
+        stats = DataStats(mu=model.mu, sigma=np.eye(4))
         save_checkpoint(model, config, stats, path)
         blob = path.read_bytes()
         truncated = tmp_path / "truncated.rbm"
@@ -312,13 +352,16 @@ class TestSample:
         save_checkpoint(model, TrainConfig(n_hidden=5), stats, mismatch)
         version_1 = tmp_path / "version_1.rbm"
         version_1.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        version_2 = tmp_path / "version_2.rbm"
+        version_2.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
         for bad, reason in ((truncated, "offset 20"), (unknown, "'bogus'"),
                             (missing, "missing checkpoint config key "
                                       "'binarize_threshold'"),
-                            (no_hidden, "n_h 0) at offset 8"),
+                            (no_hidden, "n_h 0) at offset 12"),
                             (mismatch, "config key 'n_hidden' is 5, "
                                        "header n_h is 3"),
-                            (version_1, "unsupported checkpoint version 1")):
+                            (version_1, "unsupported checkpoint version 1"),
+                            (version_2, "unsupported checkpoint version 2")):
             code = main(["sample", "--checkpoint", str(bad),
                          "--out", str(tmp_path / "o.pgm")])
             assert_error_line(code, capsys, reason)

@@ -1,10 +1,15 @@
 import gzip
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinrbm
 from conftest import idx_image_bytes
 from spinrbm.data import (_ROWS, DataStats, Dataset, IdxParseError, binarize,
                           compute_stats, load_idx, minibatches)
@@ -124,17 +129,15 @@ class TestComputeStats:
     def test_constant_dataset(self):
         ds = Dataset(spins=np.ones((5, 3), dtype=np.int8))
         stats = compute_stats(ds)
-        assert stats.Q.shape == (3, 0)
+        assert np.array_equal(stats.sigma, np.zeros((3, 3)))
         assert stats.mu == pytest.approx([1, 1, 1])
 
     def test_two_point_hand_case(self):
         ds = Dataset(spins=np.array([[1, 1], [-1, -1]], dtype=np.int8))
         stats = compute_stats(ds)
         assert stats.mu == pytest.approx([0, 0])
-        assert stats.Q.shape == (2, 1)
-        # eigenvalue 2, eigenvector (1,1)/sqrt(2) -> Q column (1,1) up to sign
-        assert np.abs(stats.Q[:, 0]) == pytest.approx([1, 1])
-        assert stats.Q[0, 0] == pytest.approx(stats.Q[1, 0])
+        # both spins always agree: every entry of Sigma is 1, exactly
+        assert np.array_equal(stats.sigma, np.ones((2, 2)))
 
     def test_reconstruction(self, rng):
         spins = np.where(rng.random((10, 6)) < 0.5, 1, -1).astype(np.int8)
@@ -142,12 +145,12 @@ class TestComputeStats:
         stats = compute_stats(ds)
         centered = spins.astype(float) - stats.mu
         sigma = centered.T @ centered / 10
-        assert np.abs(stats.Q @ stats.Q.T - sigma).max() < 1e-10
+        assert np.abs(stats.sigma - sigma).max() < 1e-10
 
     def test_psd_by_construction(self, rng):
         spins = np.where(rng.random((30, 5)) < 0.3, 1, -1).astype(np.int8)
         stats = compute_stats(Dataset(spins=spins))
-        evals = np.linalg.eigvalsh(stats.Q @ stats.Q.T)
+        evals = np.linalg.eigvalsh(stats.sigma)
         assert evals.min() > -1e-12
 
     def test_row_permutation_invariance(self, rng):
@@ -156,7 +159,7 @@ class TestComputeStats:
         a = compute_stats(Dataset(spins=spins))
         b = compute_stats(Dataset(spins=spins[rng.permutation(len(spins))]))
         assert a.mu.tobytes() == b.mu.tobytes()
-        assert a.Q.tobytes() == b.Q.tobytes()
+        assert a.sigma.tobytes() == b.sigma.tobytes()
 
     @pytest.mark.parametrize("n_constant", [0, 14])
     def test_matches_centered_reference(self, rng, n_constant):
@@ -165,11 +168,48 @@ class TestComputeStats:
         spins[:, :n_constant // 2] = 1
         spins[:, 48 - n_constant // 2:] = -1
         stats = compute_stats(Dataset(spins=spins))
-        assert stats.Q.shape == (48, 48 - n_constant)
+        assert np.linalg.matrix_rank(stats.sigma) == 48 - n_constant
         assert np.array_equal(stats.mu, spins.astype(np.float64).mean(axis=0))
         centered = spins - spins.mean(axis=0)
         sigma = centered.T @ centered / len(spins)
-        assert np.abs(stats.Q @ stats.Q.T - sigma).max() < 1e-12
+        assert np.abs(stats.sigma - sigma).max() < 1e-12
+
+    def test_bitwise_equal_to_integer_gram_reference(self, rng):
+        # over more rows than one block: the blockwise float32 Gram is the
+        # int64 Gram, so Sigma = G/N - mu mu^T to the last bit, and exactly
+        # symmetric
+        spins = biased_spins(rng, 2 * _ROWS + 5, 48)
+        gram = spins.T.astype(np.int64) @ spins.astype(np.int64)
+        mu = spins.sum(axis=0, dtype=np.int64) / len(spins)
+        ref = gram / len(spins) - np.outer(mu, mu)
+        sigma = compute_stats(Dataset(spins=spins)).sigma
+        assert sigma.tobytes() == ref.tobytes()
+        assert np.array_equal(sigma, sigma.T)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # a 4101 x 300 block product is large enough for OpenBLAS to split
+        # it over two threads
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from spinrbm.data import Dataset, compute_stats\n"
+            "rng = np.random.default_rng(5)\n"
+            "p = rng.uniform(0.05, 0.95, 300)\n"
+            f"spins = np.where(rng.random(({_ROWS + 5}, 300)) < p, 1, -1)\n"
+            "stats = compute_stats(Dataset(spins=spins.astype(np.int8)))\n"
+            "open(sys.argv[1], 'wb').write(stats.sigma.tobytes())\n")
+        src = str(Path(spinrbm.__file__).parent.parent)
+        blobs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS":
+                   threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads}
+            out = tmp_path / f"sigma{threads}.bin"
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                           check=True)
+            blobs.append(out.read_bytes())
+        assert len(blobs[0]) == 300 * 300 * 8
+        assert blobs[0] == blobs[1]
 
     def test_peak_memory_below_one_float64_copy(self, rng):
         images = rng.integers(0, 256, (12000, 28, 28)).astype(np.uint8)
@@ -188,7 +228,8 @@ class TestComputeStats:
 
 
 class TestDataStats:
-    @pytest.mark.parametrize("mu, Q, reason", [
+    # the ids ending in q name the covariance factor that sigma replaced
+    @pytest.mark.parametrize("mu, sigma, reason", [
         (np.full(2, np.nan), np.eye(2), "mu must be a finite vector"),
         (np.zeros((2, 2)), np.eye(2), "mu must be a finite vector"),
         (np.zeros(2), np.eye(3), "inconsistent with mu"),
@@ -196,16 +237,20 @@ class TestDataStats:
         (np.zeros(2), np.full((2, 2), np.nan), "within float32 range"),
         (np.zeros(2), np.full((2, 2), -np.inf), "within float32 range"),
         (np.zeros(2), np.full((2, 2), 1e200), "within float32 range"),
+        (np.zeros(2), np.zeros((2, 3)), "inconsistent with mu"),
+        (np.zeros(2), np.array([[1.0, 0.5], [0.5 + 1e-16, 1.0]]),
+         "sigma must be symmetric"),
     ], ids=["nan_mu", "matrix_mu", "q_rows", "vector_q", "nan_q", "inf_q",
-            "overflowing_q"])
-    def test_rejects_unusable_statistics(self, mu, Q, reason):
+            "overflowing_q", "non_square_sigma", "asymmetric_sigma"])
+    def test_rejects_unusable_statistics(self, mu, sigma, reason):
         with pytest.raises(ValueError, match=reason):
-            DataStats(mu=mu, Q=Q)
+            DataStats(mu=mu, sigma=sigma)
 
     def test_float32_extreme_accepted(self):
         top = np.finfo(np.float32).max
-        stats = DataStats(mu=np.zeros(2), Q=np.full((2, 1), -float(top)))
-        assert np.all(stats.Q32 == -top)
+        stats = DataStats(mu=np.zeros(2), sigma=np.full((2, 2), -float(top)))
+        assert stats.sigma32.dtype == np.float32
+        assert np.all(stats.sigma32 == -top)
 
 
 class TestMinibatches:

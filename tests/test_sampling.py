@@ -103,6 +103,13 @@ class TestSampleHidden:
         se = np.sqrt(p * (1 - p) / N_MC)
         assert abs((h == 1).mean() - p) < 3 * se
 
+    def test_overflowing_field_rejected(self):
+        # every W entry lies within float32 range, their sum does not; any
+        # warning fails the suite, so this also pins that none is printed
+        m = RbmModel(W=np.full((4, 3), 2e38), b=np.zeros(4), mu=np.zeros(4))
+        with pytest.raises(ValueError, match="hidden field overflows float32"):
+            sample_hidden(m, np.ones((5, 4), dtype=np.int8), make_rng(2))
+
 
 class TestSampleVisible:
     def test_decoupled_uniform(self):
@@ -125,6 +132,14 @@ class TestSampleVisible:
             p = 1 / (1 + np.exp(-2 * field[j]))
             se = np.sqrt(p * (1 - p) / N_MC)
             assert abs((v[:, j] == 1).mean() - p) < 3 * se
+
+    @pytest.mark.parametrize("w, b", [(2e38, 0.0), (1.2e38, 1.2e38)],
+                             ids=["product", "bias"])
+    def test_overflowing_field_rejected(self, w, b):
+        # W h alone overflows, or W h = 2.4e38 does not and b + W h does
+        m = RbmModel(W=np.full((4, 2), w), b=np.full(4, b), mu=np.zeros(4))
+        with pytest.raises(ValueError, match="visible field overflows float32"):
+            sample_visible(m, np.ones((5, 2), dtype=np.int8), make_rng(5))
 
 
 class TestGibbs:
@@ -168,7 +183,7 @@ class TestGibbs:
 class TestSamplePhi:
     def test_zero_covariance(self, rng):
         m = random_model(rng, 3, 2)
-        stats = DataStats(mu=np.zeros(3), Q=np.zeros((3, 0)))
+        stats = DataStats(mu=np.zeros(3), sigma=np.zeros((3, 3)))
         phi = sample_phi(m, stats, 10, make_rng(8))
         assert np.all(phi == 0)
 
@@ -182,7 +197,7 @@ class TestSamplePhi:
         stats = stats_for(m, rng)
         phi = sample_phi(m, stats, 10, make_rng(20))
         assert phi.dtype == np.float32 and phi.shape == (10, 3)
-        assert stats.Q.dtype == np.float64
+        assert stats.sigma.dtype == np.float64
 
     def test_missing_stats(self, rng):
         m = random_model(rng, 3, 2)
@@ -195,8 +210,7 @@ class TestSamplePhi:
         n = 10 ** 5
         phi = sample_phi(m, stats, n, make_rng(11))
         emp = phi.T @ phi / n
-        sigma = stats.Q @ stats.Q.T
-        target = m.W.T @ sigma @ m.W
+        target = m.W.T @ stats.sigma @ m.W
         # entrywise 5-standard-error band; var of a covariance entry ~
         # (C_ii C_jj + C_ij^2) / n for Gaussians
         var = (np.outer(np.diag(target), np.diag(target)) + target ** 2) / n
@@ -209,11 +223,12 @@ class TestSamplePhi:
         m = random_model(gen, 6, 5)
         patterns = random_spins(gen, (3, 6))
         stats = compute_stats(Dataset(spins=patterns[gen.integers(0, 3, 300)]))
-        assert stats.Q.shape[1] == 2
-        target = m.W.T @ (stats.Q @ stats.Q.T) @ m.W
-        A = stats.Q.T @ m.W
+        assert np.linalg.matrix_rank(stats.sigma) == 2
+        target = m.W.T @ stats.sigma @ m.W
+        # the float32 C that sample_phi forms has no Cholesky factor
+        C = m.W32.T @ (stats.sigma32 @ m.W32)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(A.T @ A)
+            np.linalg.cholesky(C.astype(np.float64))
         n = 10 ** 5
         phi = sample_phi(m, stats, n, make_rng(18))
         emp = phi.T @ phi / n
@@ -248,7 +263,7 @@ class TestBeliefGenerate:
     def test_zero_weights_pixel_law(self):
         b = np.array([0.4, -0.3])
         m = RbmModel(W=np.zeros((2, 2)), b=b, mu=np.zeros(2))
-        stats = DataStats(mu=np.zeros(2), Q=np.eye(2))
+        stats = DataStats(mu=np.zeros(2), sigma=np.eye(2))
         v = belief_generate(m, stats, N_MC // 10, make_rng(15))
         for j in range(2):
             p = 1 / (1 + np.exp(-2 * b[j]))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_model, random_spins, with_config
+from conftest import random_model, random_sigma, random_spins, with_config
 from spinrbm.data import Dataset, compute_stats
 from spinrbm.model import GradientPair, RbmModel, exact_nll, exact_nll_gradient
 from spinrbm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
@@ -134,17 +134,19 @@ class TestTrain:
         assert [m.energy_coefficient for m in r1] == [m.energy_coefficient for m in r2]
 
     def test_stats_stay_float64_through_training_and_checkpoint(self, tmp_path):
-        # the sampler works on a float32 copy of Q; Q itself stays float64,
-        # in memory and in the checkpoint
+        # the sampler works on a float32 copy of sigma; sigma itself stays
+        # float64, in memory and in the checkpoint
         ds = pattern_dataset()
         stats = compute_stats(ds)
-        Q = stats.Q.copy()
+        sigma = stats.sigma.copy()
         model, _ = train(ds, stats, small_config(epochs=2))
-        assert stats.Q.dtype == np.float64 and stats.Q.tobytes() == Q.tobytes()
+        assert (stats.sigma.dtype == np.float64
+                and stats.sigma.tobytes() == sigma.tobytes())
         path = tmp_path / "ck.rbm"
         save_checkpoint(model, small_config(), stats, path)
         _, _, s2 = load_checkpoint(path)
-        assert s2.Q.dtype == np.float64 and s2.Q.tobytes() == Q.tobytes()
+        assert (s2.sigma.dtype == np.float64
+                and s2.sigma.tobytes() == sigma.tobytes())
 
     def test_mu_never_trained(self):
         ds = pattern_dataset()
@@ -203,10 +205,11 @@ class TestExactDescent:
 
 class TestCheckpoint:
     def _random_state(self, rng, n_v=6, n_h=3, r=4, **config):
-        """A model, its data statistics and a config with its n_hidden."""
+        """A model, data statistics whose sigma has rank r, and a config
+        with its n_hidden."""
         from spinrbm.data import DataStats
         model = random_model(rng, n_v, n_h, centered=False)
-        stats = DataStats(mu=model.mu, Q=rng.normal(size=(n_v, r)))
+        stats = DataStats(mu=model.mu, sigma=random_sigma(rng, n_v, r))
         return model, stats, small_config(n_hidden=n_h, **config)
 
     def test_roundtrip_bit_exact(self, rng, tmp_path):
@@ -216,18 +219,19 @@ class TestCheckpoint:
             save_checkpoint(model, config, stats, path)
             m2, c2, s2 = load_checkpoint(path)
             for a, b in ((model.W, m2.W), (model.b, m2.b), (model.mu, m2.mu),
-                         (stats.Q, s2.Q)):
+                         (stats.sigma, s2.sigma)):
                 assert a.tobytes() == b.tobytes()
             assert c2 == config
 
     @pytest.mark.parametrize("n_v, n_h, r", [(6, 3, 4), (4, 1, 1), (9, 5, 7)])
     def test_length_is_header_arrays_and_config(self, rng, tmp_path, n_v, n_h, r):
-        # header, b, W, mu and Q, then the config echo behind its u32 length
+        # header, b, W, mu and sigma (n_v x n_v, whatever its rank r), then
+        # the config echo behind its u32 length
         model, stats, config = self._random_state(rng, n_v, n_h, r)
         path = tmp_path / "ck.rbm"
         save_checkpoint(model, config, stats, path)
         config_json = json.dumps(config.__dict__, sort_keys=True).encode()
-        assert path.stat().st_size == (20 + 8 * (2 * n_v + n_v * n_h + n_v * r)
+        assert path.stat().st_size == (20 + 8 * (2 * n_v + n_v * n_h + n_v * n_v)
                                        + 4 + len(config_json))
         assert path.read_bytes().endswith(config_json)
 
@@ -269,6 +273,32 @@ class TestCheckpoint:
             cut.write_bytes(blob[:n])
             with pytest.raises(ValueError, match=r"magic|offset \d+"):
                 load_checkpoint(cut)
+
+    def test_every_flipped_byte_rejected(self, rng, tmp_path):
+        # the magic and the version are checked by value, the checksum
+        # covers every byte after them: no flip of any byte loads
+        model, stats, config = self._random_state(rng, n_v=4, n_h=3, r=4)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, config, stats, path)
+        blob = path.read_bytes()
+        flipped = tmp_path / "flipped.rbm"
+        for at in range(len(blob)):
+            for mask in (0x01, 0xFF):
+                bad = bytearray(blob)
+                bad[at] ^= mask
+                flipped.write_bytes(bytes(bad))
+                with pytest.raises(ValueError, match="flipped.rbm: "):
+                    load_checkpoint(flipped)
+
+    def test_checksum_mismatch_named(self, rng, tmp_path):
+        model, stats, config = self._random_state(rng)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, config, stats, path)
+        blob = bytearray(path.read_bytes())
+        blob[-2] ^= 0x01  # a byte of the config echo: no size changes
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="ck.rbm: checksum mismatch"):
+            load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, rng, tmp_path):
         model, stats, config = self._random_state(rng)
