@@ -179,8 +179,7 @@ def cmd_train(args):
     stats = compute_stats(dataset)
     holdout_size(dataset.n, config)
     try:
-        init_model(dataset.n_v, config.n_hidden, config.init_std, stats.mu,
-                   config.seed)
+        model = init_model(stats, config)
     except ValueError as exc:
         raise CliError(f"--init-std {config.init_std}: {exc}") from exc
     out = Path(args.out)
@@ -208,14 +207,14 @@ def cmd_train(args):
               f"  recon_error {record.recon_error:.4f}  {record.wall_ms} ms")
 
     try:
-        model, metrics = train(dataset, stats, config, on_epoch=on_epoch)
+        model, metrics = train(dataset, model, config, on_epoch=on_epoch)
     except TrainingDiverged as exc:
         # keep the last in-range model so the run is inspectable
-        save_checkpoint(exc.model, config, stats, checkpoint_path)
+        save_checkpoint(exc.model, config, checkpoint_path)
         _write_metrics_csv(csv_path, exc.metrics)
         raise CliError(f"training diverged: {exc}") from exc
 
-    save_checkpoint(model, config, stats, checkpoint_path)
+    save_checkpoint(model, config, checkpoint_path)
     _write_metrics_csv(csv_path, metrics)
     print(f"checkpoint: {checkpoint_path}")
     return 0
@@ -229,12 +228,14 @@ def _write_metrics_csv(path, metrics):
 
 def cmd_sample(args):
     """sample-evolution grid from a checkpoint"""
-    model, _, stats = load_checkpoint(args.checkpoint)
+    if args.chains < 1:
+        raise CliError(f"--chains must be >= 1, got {args.chains}")
+    model, _ = load_checkpoint(args.checkpoint)
     steps = _parse_steps(args.steps)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5A)
     rows = []
-    for _, v in gibbs_chain(model, stats, args.chains, steps, rng):
+    for _, v in gibbs_chain(model, args.chains, steps, rng):
         rows.extend(spins_to_gray(v, side))
     write_pgm(args.out, tile_grid(rows, len(steps), args.chains))
     print(f"wrote {args.out}: {len(steps)} rows x {args.chains} chains")
@@ -243,7 +244,7 @@ def cmd_sample(args):
 
 def cmd_reconstruct(args):
     """originals vs one-step reconstructions"""
-    model, config, _ = load_checkpoint(args.checkpoint)
+    model, config = load_checkpoint(args.checkpoint)
     dataset, _ = _load_dataset(args.data, config.binarize_threshold)
     _check_count(args.count, dataset.n)
     side = _image_side(model.n_v)
@@ -261,11 +262,11 @@ def cmd_reconstruct(args):
 
 def cmd_eval(args):
     """reconstruction error vs Gibbs steps"""
-    model, config, stats = load_checkpoint(args.checkpoint)
+    model, config = load_checkpoint(args.checkpoint)
     dataset, _ = _load_dataset(args.data, config.binarize_threshold)
     steps = _parse_steps(args.steps)
     rows = []
-    for k, err, coeff in eval_curve(model, stats, dataset.spins,
+    for k, err, coeff in eval_curve(model, dataset.spins,
                                     args.batch_size, steps, args.seed):
         rows.append((k, repr(err), repr(coeff)))
         print(f"step {k:3d}  recon_error {err:.4f}  energy_coefficient {coeff:.4f}")
@@ -276,7 +277,7 @@ def cmd_eval(args):
 def cmd_weights(args):
     """tile a random subset of weight columns"""
     _check_count(args.count)
-    model, _, _ = load_checkpoint(args.checkpoint)
+    model, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5E)
     count = min(args.count, model.n_h)

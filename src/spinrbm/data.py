@@ -45,10 +45,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DataStats:
-    """Empirical visible mean mu and covariance sigma (n_v x n_v).
+    """Visible mean mu and covariance sigma (n_v x n_v) of an RbmModel's data.
 
-    sigma must be exactly symmetric, with finite entries within float32
-    range: the sampler casts it to float32 (sigma32).
+    mu and sigma hold finite entries within float32 range, and sigma is
+    exactly symmetric: the samplers cast them to float32 (sigma32).
     """
 
     mu: np.ndarray
@@ -57,11 +57,12 @@ class DataStats:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=np.float64)
         sigma = np.asarray(self.sigma, dtype=np.float64)
-        if mu.ndim != 1 or not np.all(np.isfinite(mu)):
-            raise ValueError(f"mu must be a finite vector, got shape {mu.shape}")
+        if mu.ndim != 1:
+            raise ValueError(f"mu must be a vector, got shape {mu.shape}")
         if sigma.shape != (mu.shape[0],) * 2:
             raise ValueError(
                 f"sigma shape {sigma.shape} inconsistent with mu {mu.shape}")
+        check_float32_range(mu, "mu")
         check_float32_range(sigma, "sigma")
         if not np.array_equal(sigma, sigma.T):
             raise ValueError("sigma must be symmetric")

@@ -79,7 +79,7 @@ def recon_error(model, batch, rng):
     return float(np.abs(batch - reconstruct(model, batch, rng)).mean() / 2.0)
 
 
-def eval_curve(model, stats, spins, batch_size, steps, seed):
+def eval_curve(model, spins, batch_size, steps, seed):
     """Yield (k, recon_error, energy_coefficient) for each k in steps: the
     quality of min(batch_size, rows) belief-generated chains after k Gibbs
     sweeps, against as many data rows drawn from spins.  The recon error at
@@ -90,6 +90,6 @@ def eval_curve(model, stats, spins, batch_size, steps, seed):
     rng = make_rng(seed, _STREAM_CHAIN)
     n = min(batch_size, spins.shape[0])
     data_batch = spins[rng.choice(spins.shape[0], size=n, replace=False)]
-    for k, v in gibbs_chain(model, stats, n, steps, rng):
+    for k, v in gibbs_chain(model, n, steps, rng):
         yield (k, recon_error(model, v, make_rng(seed, _STREAM_RECON, k)),
                energy_coefficient(data_batch, v))

@@ -22,29 +22,31 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True)
 class RbmModel:
-    """Immutable RBM parameters: couplings W (n_v x n_h), visible bias b,
-    centering vector mu.  mu is fixed data statistics, never trained."""
+    """Immutable RBM parameters: couplings W (n_v x n_h), visible bias b and
+    the training data's DataStats; mu = stats.mu is fixed, never trained."""
 
     W: np.ndarray
     b: np.ndarray
-    mu: np.ndarray
+    stats: "DataStats"
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
         b = np.asarray(self.b, dtype=np.float64)
-        mu = np.asarray(self.mu, dtype=np.float64)
         if W.ndim != 2:
             raise ValueError(f"W must be a matrix, got shape {W.shape}")
         n_v, n_h = W.shape
         if b.shape != (n_v,):
             raise ValueError(f"b shape {b.shape} inconsistent with W {W.shape}")
-        if mu.shape != (n_v,):
-            raise ValueError(f"mu shape {mu.shape} inconsistent with W {W.shape}")
-        for name, arr in (("W", W), ("b", b), ("mu", mu)):
+        if self.mu.shape != (n_v,):
+            raise ValueError(f"mu shape {self.mu.shape} inconsistent with W {W.shape}")
+        for name, arr in (("W", W), ("b", b)):
             check_float32_range(arr, name)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "mu", mu)
+
+    @property
+    def mu(self):
+        return self.stats.mu
 
     @cached_property
     def W32(self):

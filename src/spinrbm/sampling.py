@@ -108,8 +108,8 @@ def gibbs_steps(model, v0, k, rng):
     return v
 
 
-def sample_phi(model, stats, batch, rng):
-    """Draw hidden fields phi ~ N(0, W^T Sigma W), one float32 row per sample.
+def sample_phi(model, batch, rng):
+    """Draw batch float32 rows phi ~ N(0, W^T Sigma W), Sigma = model.stats.sigma.
 
     C = W^T (Sigma W) is n_h x n_h; phi = z L^T with z ~ N(0, I_{n_h}) and
     L L^T = C.  L is the Cholesky factor, or V sqrt(max(lambda, 0)) from
@@ -118,15 +118,9 @@ def sample_phi(model, stats, batch, rng):
     factoring of C runs in float64, and reads C's lower triangle only.
     Raises ValueError when C overflows float32.
     """
-    if stats is None:
-        raise ValueError("data statistics with a covariance sigma required")
-    sigma = stats.sigma32
-    if sigma.shape[0] != model.n_v:
-        raise ValueError(
-            f"sigma rows {sigma.shape[0]} do not match model n_v {model.n_v}")
     # entries within float32 range can still overflow the products
     with np.errstate(over="ignore", invalid="ignore"):
-        C = (model.W32.T @ (sigma @ model.W32)).astype(np.float64)
+        C = (model.W32.T @ (model.stats.sigma32 @ model.W32)).astype(np.float64)
     if not np.all(np.isfinite(C)):
         raise ValueError("covariance W^T Sigma W overflows float32")
     try:
@@ -138,22 +132,22 @@ def sample_phi(model, stats, batch, rng):
     return z @ L.T.astype(np.float32)
 
 
-def belief_generate(model, stats, batch, rng):
+def belief_generate(model, batch, rng):
     """Approximate model samples in one backward pass.
 
-    Step 1: phi ~ N(0, W^T Sigma W), drawn in n_h dimensions.
+    Step 1: phi ~ N(0, W^T Sigma W), drawn in n_h dimensions (sample_phi).
     Step 2: h_i = +1 w.p. sigma(2 phi_i).
     Step 3: v ~ p(v|h).
     Refine with gibbs_steps, or walk a chain with gibbs_chain.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    phi = sample_phi(model, stats, batch, rng)
+    phi = sample_phi(model, batch, rng)
     h = draw_spins(phi, rng.random(phi.shape, dtype=np.float32))
     return sample_visible(model, h, rng)
 
 
-def gibbs_chain(model, stats, batch, steps, rng):
+def gibbs_chain(model, batch, steps, rng):
     """Walk belief-generated chains through ascending Gibbs step counts.
 
     Yields (k, v) for each k in steps, v being the batch after k block-Gibbs
@@ -166,11 +160,11 @@ def gibbs_chain(model, stats, batch, steps, rng):
     if steps != sorted(steps) or any(k < 0 for k in steps):
         raise ValueError(
             f"steps must be sorted ascending and nonnegative, got {steps}")
-    return _walk_chain(model, stats, batch, steps, rng)
+    return _walk_chain(model, batch, steps, rng)
 
 
-def _walk_chain(model, stats, batch, steps, rng):
-    v = belief_generate(model, stats, batch, rng)
+def _walk_chain(model, batch, steps, rng):
+    v = belief_generate(model, batch, rng)
     done = 0
     for k in steps:
         v = gibbs_steps(model, v, k - done, rng)

@@ -87,11 +87,12 @@ class TrainingDiverged(RuntimeError):
         self.metrics = metrics
 
 
-def init_model(n_v, n_h, init_std, mu, seed):
-    """Fresh model: W ~ N(0, init_std^2), b = 0, mu fixed from data stats."""
-    rng = make_rng(seed, _STREAM_INIT)
+def init_model(stats, config):
+    """Fresh model on data with these stats: W ~ N(0, init_std^2), b = 0."""
+    n_v, n_h, init_std = stats.mu.shape[0], config.n_hidden, config.init_std
+    rng = make_rng(config.seed, _STREAM_INIT)
     W = rng.normal(0.0, init_std, size=(n_v, n_h)) if init_std > 0 else np.zeros((n_v, n_h))
-    return RbmModel(W=W, b=np.zeros(n_v), mu=np.asarray(mu, dtype=np.float64))
+    return RbmModel(W=W, b=np.zeros(n_v), stats=stats)
 
 
 # Adam hyperparameters (Kingma & Ba, 2015)
@@ -167,23 +168,25 @@ def _split_holdout(dataset, config):
     return train, hold
 
 
-def _negative_batch(model, stats, data_batch, config, rng):
+def _negative_batch(model, data_batch, config, rng):
     if config.negative_mode == "belief_cd0":
-        return belief_generate(model, stats, data_batch.shape[0], rng)
+        return belief_generate(model, data_batch.shape[0], rng)
     return gibbs_steps(model, data_batch, config.k, rng)
 
 
-def train(dataset, stats, config, on_epoch=None):
-    """Train an RBM; returns (model, metrics history).
+def train(dataset, model, config, on_epoch=None):
+    """Train an RBM from model (as init_model draws it); returns the trained
+    model, which carries the same data statistics, and the metrics history.
 
     Positive phase from each data minibatch; negative phase from belief
     generation (CD-0) or k Gibbs sweeps off the data batch, per config.
     Metrics are logged on a held-out fold every eval_every epochs.
     ``on_epoch(record)`` is invoked at each logged epoch.
     """
+    if model.W.shape != (dataset.n_v, config.n_hidden):
+        raise ValueError(f"model W shape {model.W.shape} does not match "
+                         f"(n_v, n_hidden) {(dataset.n_v, config.n_hidden)}")
     train_set, holdout = _split_holdout(dataset, config)
-    model = init_model(dataset.n_v, config.n_hidden, config.init_std,
-                       stats.mu, config.seed)
     adam = AdamState.zeros(dataset.n_v, config.n_hidden)
     metrics = []
     t0 = time.perf_counter()
@@ -193,7 +196,7 @@ def train(dataset, stats, config, on_epoch=None):
                                               config.seed, epoch)):
             neg_rng = make_rng(config.seed, _STREAM_NEG, epoch, i)
             try:
-                neg = _negative_batch(model, stats, batch, config, neg_rng)
+                neg = _negative_batch(model, batch, config, neg_rng)
                 grads = nll_gradient(model, batch, neg)
                 (b, W), adam = adam_step(adam, grads, config.learning_rate,
                                          (model.b, model.W))
@@ -206,7 +209,7 @@ def train(dataset, stats, config, on_epoch=None):
 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             try:
-                record = _evaluate(model, stats, holdout, config, epoch, t0)
+                record = _evaluate(model, holdout, config, epoch, t0)
             except ValueError as exc:  # a sampler covariance or field overflows
                 raise TrainingDiverged(
                     f"epoch {epoch}: {exc}", model, metrics) from exc
@@ -221,11 +224,11 @@ def train(dataset, stats, config, on_epoch=None):
     return model, metrics
 
 
-def _evaluate(model, stats, holdout, config, epoch, t0):
+def _evaluate(model, holdout, config, epoch, t0):
     rng = make_rng(config.seed, _STREAM_METRIC, epoch)
     n = min(config.eval_batch, holdout.shape[0])
     data_batch = holdout[:n]
-    gen = belief_generate(model, stats, n, rng)
+    gen = belief_generate(model, n, rng)
     coeff = energy_coefficient(data_batch, gen)
     err = recon_error(model, data_batch, rng)
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
@@ -253,9 +256,9 @@ def _unpack_array(buf, offset, shape):
     return arr.reshape(shape).copy(), end
 
 
-def save_checkpoint(model, config, stats, path):
-    """Serialize model + data statistics + config to the binary checkpoint
-    format.
+def save_checkpoint(model, config, path):
+    """Serialize the model, with its data statistics, and config to the
+    binary checkpoint format.
 
     Layout: magic "RBM0", version u32, the CRC32 u32 of every byte after
     it, (n_v, n_h) u32, little-endian float64 arrays b, W, mu, sigma
@@ -265,7 +268,7 @@ def save_checkpoint(model, config, stats, path):
     config_json = json.dumps(config.__dict__, sort_keys=True).encode()
     body = [struct.pack("<II", model.n_v, model.n_h),
             _pack_array(model.b), _pack_array(model.W),
-            _pack_array(model.mu), _pack_array(stats.sigma),
+            _pack_array(model.mu), _pack_array(model.stats.sigma),
             struct.pack("<I", len(config_json)), config_json]
     crc = 0
     for part in body:
@@ -275,7 +278,7 @@ def save_checkpoint(model, config, stats, path):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (model, config, stats).
+    """Inverse of save_checkpoint; returns (model, config).
 
     Every malformed input raises ValueError naming the file, and the byte
     offset, config key or array at fault; bytes that change no size fail
@@ -311,7 +314,7 @@ def _parse_checkpoint(buf):
     if config.n_hidden != n_h:
         raise ValueError(f"checkpoint config key 'n_hidden' is "
                          f"{config.n_hidden}, header n_h is {n_h}")
-    return RbmModel(W=W, b=b, mu=mu), config, DataStats(mu=mu, sigma=sigma)
+    return RbmModel(W=W, b=b, stats=DataStats(mu=mu, sigma=sigma)), config
 
 
 def _parse_config(blob):

@@ -10,13 +10,21 @@ import zlib
 import numpy as np
 import pytest
 
+from spinrbm.data import DataStats
 from spinrbm.model import RbmModel
+
+
+def stats_at(mu):
+    """DataStats with mean mu and a zero covariance, for a model whose
+    belief generation a test does not depend on."""
+    mu = np.asarray(mu, dtype=np.float64)
+    return DataStats(mu=mu, sigma=np.zeros((mu.size, mu.size)))
 
 
 def random_model(rng, n_v, n_h, scale=0.5, centered=True):
     mu = np.zeros(n_v) if centered else rng.uniform(-0.9, 0.9, n_v)
     return RbmModel(W=rng.normal(0, scale, (n_v, n_h)),
-                    b=rng.normal(0, scale, n_v), mu=mu)
+                    b=rng.normal(0, scale, n_v), stats=stats_at(mu))
 
 
 def random_spins(rng, shape):

@@ -9,19 +9,21 @@ synthetic digit-like data in the companion surrogate test below.  Criterion
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import idx_image_bytes, random_sigma, random_spins, synthetic_digits
+from conftest import (idx_image_bytes, random_sigma, random_spins, stats_at,
+                      synthetic_digits)
 from spinrbm.cli import main
-from spinrbm.data import Dataset, binarize, compute_stats, load_idx
+from spinrbm.data import DataStats, Dataset, binarize, compute_stats, load_idx
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
                            exact_visible_marginal)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_phi
-from spinrbm.training import (TrainConfig, load_checkpoint, save_checkpoint,
-                              train)
+from spinrbm.training import (TrainConfig, init_model, load_checkpoint,
+                              save_checkpoint, train)
 
 DESK = dict(n_hidden=128, epochs=20, batch_size=256, learning_rate=1e-3,
             init_std=0.1)
@@ -40,7 +42,7 @@ def test_criterion_1_gradient_exactness():
     for trial in range(20):
         gen = np.random.default_rng(1000 + trial)
         model = RbmModel(W=gen.normal(0, 0.5, (6, 4)), b=gen.normal(0, 0.5, 6),
-                         mu=gen.uniform(-0.5, 0.5, 6))
+                         stats=stats_at(gen.uniform(-0.5, 0.5, 6)))
         data = random_spins(gen, (12, 6))
         g = exact_nll_gradient(model, data)
         step = 1e-5
@@ -50,16 +52,14 @@ def test_criterion_1_gradient_exactness():
             bp, bm = model.b.copy(), model.b.copy()
             bp[j] += step
             bm[j] -= step
-            fd_b[j] = (exact_nll(RbmModel(W=model.W, b=bp, mu=model.mu), data)
-                       - exact_nll(RbmModel(W=model.W, b=bm, mu=model.mu), data)
-                       ) / (2 * step)
+            fd_b[j] = (exact_nll(replace(model, b=bp), data)
+                       - exact_nll(replace(model, b=bm), data)) / (2 * step)
             for i in range(4):
                 Wp, Wm = model.W.copy(), model.W.copy()
                 Wp[j, i] += step
                 Wm[j, i] -= step
-                fd_W[j, i] = (exact_nll(RbmModel(W=Wp, b=model.b, mu=model.mu), data)
-                              - exact_nll(RbmModel(W=Wm, b=model.b, mu=model.mu), data)
-                              ) / (2 * step)
+                fd_W[j, i] = (exact_nll(replace(model, W=Wp), data)
+                              - exact_nll(replace(model, W=Wm), data)) / (2 * step)
         scale = max(np.abs(fd_b).max(), np.abs(fd_W).max())
         err = max(np.abs(g.d_b - fd_b).max(), np.abs(g.d_W - fd_W).max()) / scale
         worst = max(worst, err)
@@ -73,7 +73,7 @@ def test_criterion_2_gibbs_stationarity():
     t0 = time.perf_counter()
     gen = np.random.default_rng(2)
     model = RbmModel(W=gen.normal(0, 0.5, (5, 3)), b=gen.normal(0, 0.5, 5),
-                     mu=np.zeros(5))
+                     stats=stats_at(np.zeros(5)))
     exact = exact_visible_marginal(model)
     chains = 1000
     rng = make_rng(20)
@@ -96,13 +96,13 @@ def test_criterion_2_gibbs_stationarity():
 def test_criterion_3_field_law():
     t0 = time.perf_counter()
     gen = np.random.default_rng(3)
-    model = RbmModel(W=gen.normal(0, 0.5, (6, 3)), b=np.zeros(6), mu=np.zeros(6))
+    W = gen.normal(0, 0.5, (6, 3))
     data = random_spins(gen, (400, 6))
-    stats = compute_stats(Dataset(spins=data))
+    model = RbmModel(W=W, b=np.zeros(6), stats=compute_stats(Dataset(spins=data)))
     n = 10 ** 5
-    phi = sample_phi(model, stats, n, make_rng(30))
+    phi = sample_phi(model, n, make_rng(30))
     emp = phi.T @ phi / n
-    target = model.W.T @ stats.sigma @ model.W
+    target = W.T @ model.stats.sigma @ W
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2) / n)
     max_dev = np.abs((emp - target) / np.maximum(se, 1e-300)).max()
     elapsed = time.perf_counter() - t0
@@ -130,11 +130,10 @@ def test_criterion_4_energy_coefficient_calibration():
 
 def _run_desk(dataset):
     config = TrainConfig(seed=7, eval_every=5, **DESK)
-    stats = compute_stats(dataset)
-    model, _ = train(dataset, stats, config)
+    model, _ = train(dataset, init_model(compute_stats(dataset), config), config)
     step0 = recon_error(model, dataset.spins[:1024], make_rng(7, 0x99))
     curve = [(k, err) for k, err, _ in
-             eval_curve(model, stats, dataset.spins, 1024, EVAL_STEPS, 7)]
+             eval_curve(model, dataset.spins, 1024, EVAL_STEPS, 7)]
     return step0, curve
 
 
@@ -214,21 +213,21 @@ def test_criterion_7_determinism(tmp_path):
 
 
 def test_criterion_8_checkpoint_roundtrip(tmp_path):
-    from spinrbm.data import DataStats
     ok = True
     for i in range(10):
         gen = np.random.default_rng(800 + i)
         n_v, n_h, r = gen.integers(2, 12, 3)
-        model = RbmModel(W=gen.normal(0, 1, (n_v, n_h)), b=gen.normal(0, 1, n_v),
-                         mu=gen.uniform(-1, 1, n_v))
-        stats = DataStats(mu=model.mu, sigma=random_sigma(gen, n_v, r))
+        W, b = gen.normal(0, 1, (n_v, n_h)), gen.normal(0, 1, n_v)
+        stats = DataStats(mu=gen.uniform(-1, 1, n_v),
+                          sigma=random_sigma(gen, n_v, r))
+        model = RbmModel(W=W, b=b, stats=stats)
         config = TrainConfig(n_hidden=int(n_h), epochs=1, batch_size=1, seed=i)
         path = tmp_path / f"m{i}.rbm"
-        save_checkpoint(model, config, stats, path)
-        m2, c2, s2 = load_checkpoint(path)
+        save_checkpoint(model, config, path)
+        m2, c2 = load_checkpoint(path)
         ok &= (model.W.tobytes() == m2.W.tobytes()
                and model.b.tobytes() == m2.b.tobytes()
                and model.mu.tobytes() == m2.mu.tobytes()
-               and stats.sigma.tobytes() == s2.sigma.tobytes()
+               and stats.sigma.tobytes() == m2.stats.sigma.tobytes()
                and c2 == config)
     report(8, ok, "10 random checkpoints round-trip bitwise identical")

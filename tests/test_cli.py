@@ -1,13 +1,14 @@
 import gzip
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spinrbm.training
-from conftest import (idx_image_bytes, random_model, resealed, with_config,
-                      write_synthetic_idx)
+from conftest import (idx_image_bytes, random_model, resealed, stats_at,
+                      with_config, write_synthetic_idx)
 from spinrbm.cli import OPTIONS, main
 from spinrbm.data import DataStats
 from spinrbm.images import read_pgm
@@ -30,8 +31,8 @@ def tiny_checkpoint(path, model=None, sigma=np.eye(4), **config):
     """A checkpoint of a 2x2-pixel model (n_v = 4, n_h = 3)."""
     if model is None:
         model = random_model(np.random.default_rng(0), 4, 3)
-    save_checkpoint(model, TrainConfig(n_hidden=3, **config),
-                    DataStats(mu=model.mu, sigma=sigma), path)
+    model = replace(model, stats=DataStats(mu=model.mu, sigma=sigma))
+    save_checkpoint(model, TrainConfig(n_hidden=3, **config), path)
     return path
 
 
@@ -168,7 +169,7 @@ class TestTrain:
         code = main(["train", "--data", str(synthetic_idx_dir), "--out",
                      str(out), *TRAIN_FLAGS, "--learning-rate", "1e300"])
         assert_error_line(code, capsys, "training diverged")
-        model, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        model, _ = load_checkpoint(out / "checkpoint.rbm")
         assert np.abs(model.W).max() < 1.0
         assert (out / "metrics.csv").read_text().splitlines() == [
             "epoch,energy_coefficient,recon_error,wall_ms"]
@@ -182,7 +183,7 @@ class TestTrain:
                      str(out), *TRAIN_FLAGS, "--learning-rate", "1e19"])
         assert_error_line(code, capsys, "training diverged: epoch 1 batch 1: "
                                         "covariance W^T Sigma W overflows")
-        model, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        model, _ = load_checkpoint(out / "checkpoint.rbm")
         assert model.n_h == 32
 
     def test_overflowing_gibbs_field_diverges(self, synthetic_idx_dir,
@@ -195,7 +196,7 @@ class TestTrain:
                      "cd_k_from_data", "--learning-rate", "1e37"])
         assert_error_line(code, capsys, "training diverged: epoch 1 batch 1: "
                                         "hidden field overflows float32")
-        model, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        model, _ = load_checkpoint(out / "checkpoint.rbm")
         assert model.n_h == 32
 
     def test_initial_weights_beyond_float32_range_rejected(
@@ -225,7 +226,7 @@ class TestTrain:
         code = main(["train", "--data", str(synthetic_idx_dir),
                      "--out", str(out), "--seed", "5", *TRAIN_FLAGS])
         assert_error_line(code, capsys, "training diverged")
-        model, _, _ = load_checkpoint(out / "checkpoint.rbm")
+        model, _ = load_checkpoint(out / "checkpoint.rbm")
         assert model.n_h == 32
         rows = (out / "metrics.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["epoch", "1"]
@@ -247,11 +248,15 @@ class TestSample:
         assert read_pgm(out).shape == (29 + 1, 16 * 29 + 1)
 
     def test_empty_steps_rejected(self, trained_run, tmp_path, capsys):
+        # and a chain count below one
         out = tmp_path / "s.pgm"
-        code = main(["sample", "--checkpoint", str(trained_run / "checkpoint.rbm"),
-                     "--out", str(out), "--steps", ""])
-        assert_error_line(code, capsys, "--steps")
-        assert not out.exists()
+        for flag, value, reason in (("--steps", "", "--steps"),
+                                    ("--chains", "0", "--chains must be >= 1, got 0"),
+                                    ("--chains", "-3", "--chains must be >= 1, got -3")):
+            code = main(["sample", "--checkpoint", str(trained_run / "checkpoint.rbm"),
+                         "--out", str(out), flag, value])
+            assert_error_line(code, capsys, reason)
+            assert not out.exists()
 
     def test_seed_determinism(self, trained_run, tmp_path):
         blobs = []
@@ -291,7 +296,7 @@ class TestSample:
     def test_checkpoint_with_overflowing_covariance_rejected(self, tmp_path,
                                                             capsys):
         # Sigma W = 1.2e38 lies within float32 range, W^T Sigma W does not
-        model = RbmModel(W=np.ones((4, 3)), b=np.zeros(4), mu=np.zeros(4))
+        model = RbmModel(W=np.ones((4, 3)), b=np.zeros(4), stats=stats_at(np.zeros(4)))
         path = tiny_checkpoint(tmp_path / "ck.rbm", model,
                                np.full((4, 4), 3e37))
         out = tmp_path / "o.pgm"
@@ -316,7 +321,8 @@ class TestSample:
     def test_overflowing_gibbs_field_rejected(self, tmp_path, capsys):
         # Sigma = 0 keeps phi at 0, but the fields of the Gibbs steps sum
         # entries of 2e38
-        model = RbmModel(W=np.full((4, 3), 2e38), b=np.zeros(4), mu=np.zeros(4))
+        model = RbmModel(W=np.full((4, 3), 2e38), b=np.zeros(4),
+                         stats=stats_at(np.zeros(4)))
         path = tiny_checkpoint(tmp_path / "ck.rbm", model, np.zeros((4, 4)))
         out = tmp_path / "o.pgm"
         code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
@@ -333,8 +339,8 @@ class TestSample:
         model = random_model(np.random.default_rng(0), 4, 3)
         config = TrainConfig(n_hidden=3)
         path = tmp_path / "ck.rbm"
-        stats = DataStats(mu=model.mu, sigma=np.eye(4))
-        save_checkpoint(model, config, stats, path)
+        model = replace(model, stats=DataStats(mu=model.mu, sigma=np.eye(4)))
+        save_checkpoint(model, config, path)
         blob = path.read_bytes()
         truncated = tmp_path / "truncated.rbm"
         truncated.write_bytes(blob[:30])
@@ -346,10 +352,9 @@ class TestSample:
             blob, config, {k: v for k, v in config.__dict__.items()
                            if k != "binarize_threshold"}))
         no_hidden = tmp_path / "no_hidden.rbm"
-        save_checkpoint(RbmModel(W=np.zeros((4, 0)), b=model.b, mu=model.mu),
-                        config, stats, no_hidden)
+        save_checkpoint(replace(model, W=np.zeros((4, 0))), config, no_hidden)
         mismatch = tmp_path / "mismatch.rbm"
-        save_checkpoint(model, TrainConfig(n_hidden=5), stats, mismatch)
+        save_checkpoint(model, TrainConfig(n_hidden=5), mismatch)
         version_1 = tmp_path / "version_1.rbm"
         version_1.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
         version_2 = tmp_path / "version_2.rbm"

@@ -230,8 +230,11 @@ class TestComputeStats:
 class TestDataStats:
     # the ids ending in q name the covariance factor that sigma replaced
     @pytest.mark.parametrize("mu, sigma, reason", [
-        (np.full(2, np.nan), np.eye(2), "mu must be a finite vector"),
-        (np.zeros((2, 2)), np.eye(2), "mu must be a finite vector"),
+        (np.full(2, np.nan), np.eye(2),
+         "mu entries must be finite and within float32 range"),
+        (np.full(2, 1e200), np.eye(2),
+         "mu entries must be finite and within float32 range"),
+        (np.zeros((2, 2)), np.eye(2), "mu must be a vector"),
         (np.zeros(2), np.eye(3), "inconsistent with mu"),
         (np.zeros(2), np.zeros(2), "inconsistent with mu"),
         (np.zeros(2), np.full((2, 2), np.nan), "within float32 range"),
@@ -240,8 +243,9 @@ class TestDataStats:
         (np.zeros(2), np.zeros((2, 3)), "inconsistent with mu"),
         (np.zeros(2), np.array([[1.0, 0.5], [0.5 + 1e-16, 1.0]]),
          "sigma must be symmetric"),
-    ], ids=["nan_mu", "matrix_mu", "q_rows", "vector_q", "nan_q", "inf_q",
-            "overflowing_q", "non_square_sigma", "asymmetric_sigma"])
+    ], ids=["nan_mu", "overflowing_mu", "matrix_mu", "q_rows", "vector_q",
+            "nan_q", "inf_q", "overflowing_q", "non_square_sigma",
+            "asymmetric_sigma"])
     def test_rejects_unusable_statistics(self, mu, sigma, reason):
         with pytest.raises(ValueError, match=reason):
             DataStats(mu=mu, sigma=sigma)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model, random_spins
+from conftest import random_model, random_spins, stats_at
 from spinrbm.data import Dataset, compute_stats
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
 from spinrbm.model import RbmModel
@@ -100,12 +102,13 @@ class TestEnergyCoefficient:
 
 class TestReconError:
     def test_zero_model_is_half(self, rng):
-        m = RbmModel(W=np.zeros((6, 3)), b=np.zeros(6), mu=np.zeros(6))
+        m = RbmModel(W=np.zeros((6, 3)), b=np.zeros(6), stats=stats_at(np.zeros(6)))
         batch = random_spins(rng, (10, 6))
         assert recon_error(m, batch, make_rng(0)) == pytest.approx(0.5)
 
     def test_saturated_bias(self):
-        m = RbmModel(W=np.zeros((4, 2)), b=np.full(4, 40.0), mu=np.zeros(4))
+        m = RbmModel(W=np.zeros((4, 2)), b=np.full(4, 40.0),
+                     stats=stats_at(np.zeros(4)))
         batch = np.ones((5, 4), dtype=np.int8)
         assert recon_error(m, batch, make_rng(1)) < 1e-9
 
@@ -129,32 +132,32 @@ class TestReconErrorVsSteps:
     def test_single_step_range(self, rng):
         m = random_model(rng, 6, 4)
         spins = random_spins(rng, (50, 6))
-        stats = compute_stats(Dataset(spins=spins))
-        out = list(eval_curve(m, stats, spins, 32, [0], 6))
+        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
+        out = list(eval_curve(m, spins, 32, [0], 6))
         assert len(out) == 1 and out[0][0] == 0
         assert 0.0 <= out[0][1] <= 1.0
 
     def test_steps_must_be_sorted(self, rng):
         m = random_model(rng, 4, 2)
         spins = random_spins(rng, (20, 4))
-        stats = compute_stats(Dataset(spins=spins))
+        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
         with pytest.raises(ValueError, match="sorted ascending"):
-            list(eval_curve(m, stats, spins, 8, [4, 2], 7))
+            list(eval_curve(m, spins, 8, [4, 2], 7))
 
     def test_step_counts_echoed(self, rng):
         m = random_model(rng, 5, 3)
         spins = random_spins(rng, (40, 5))
-        stats = compute_stats(Dataset(spins=spins))
-        out = list(eval_curve(m, stats, spins, 16, [0, 2, 8], 8))
+        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
+        out = list(eval_curve(m, spins, 16, [0, 2, 8], 8))
         assert [k for k, _, _ in out] == [0, 2, 8]
 
     @pytest.mark.parametrize("batch_size", [0, -5])
     def test_batch_size_must_be_positive(self, rng, batch_size):
         m = random_model(rng, 4, 2)
         spins = random_spins(rng, (20, 4))
-        stats = compute_stats(Dataset(spins=spins))
+        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
         with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
-            list(eval_curve(m, stats, spins, batch_size, [0], 7))
+            list(eval_curve(m, spins, batch_size, [0], 7))
 
     @pytest.mark.parametrize("batch_size", [16, 64])
     def test_rows_keyed_like_rbm_eval(self, rng, batch_size):
@@ -162,11 +165,11 @@ class TestReconErrorVsSteps:
         # chain, from stream 0x5C; the recon error at step k from (0x5D, k)
         m = random_model(rng, 6, 4)
         spins = random_spins(rng, (40, 6))
-        stats = compute_stats(Dataset(spins=spins))
+        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
         seed, steps, n = 11, [0, 1, 3], min(batch_size, 40)
         chain_rng = make_rng(seed, 0x5C)
         data = spins[chain_rng.choice(40, size=n, replace=False)]
         expected = [(k, recon_error(m, v, make_rng(seed, 0x5D, k)),
                      energy_coefficient(data, v))
-                    for k, v in gibbs_chain(m, stats, n, steps, chain_rng)]
-        assert list(eval_curve(m, stats, spins, batch_size, steps, seed)) == expected
+                    for k, v in gibbs_chain(m, n, steps, chain_rng)]
+        assert list(eval_curve(m, spins, batch_size, steps, seed)) == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (brute_hidden_mean, brute_nll, brute_visible_probs,
-                      random_model, random_spins)
+                      random_model, random_spins, stats_at)
 from spinrbm.data import Dataset
 from spinrbm.metrics import energy_coefficient, recon_error, reconstruct
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
@@ -19,7 +19,7 @@ def tiny(n_v=3, n_h=2, seed=0, **kw):
 class TestFields:
     def test_visible_field_decoupled(self):
         b = np.array([0.3, -0.2])
-        m = RbmModel(W=np.zeros((2, 3)), b=b, mu=np.zeros(2))
+        m = RbmModel(W=np.zeros((2, 3)), b=b, stats=stats_at(np.zeros(2)))
         assert visible_field(m, [1, -1, 1]) == pytest.approx(b)
 
     def test_visible_field_linearity(self, rng):
@@ -42,13 +42,14 @@ class TestHiddenMean:
     data row u and one model row v, d_W = (v - mu) <h|v>^T - (u - mu) <h|u>^T."""
 
     def test_zero_field_is_zero(self):
-        m = RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), mu=np.zeros(3))
+        m = RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), stats=stats_at(np.zeros(3)))
         d_W = nll_gradient(m, [[1, -1, 1]], [[-1, 1, 1]]).d_W
         assert d_W == pytest.approx(np.zeros((3, 2)))
 
     def test_saturation(self):
         # <h|u> = tanh(0) = 0 and <h|v> = tanh(100) = 1
-        m = RbmModel(W=np.full((2, 1), 50.0), b=np.zeros(2), mu=np.zeros(2))
+        m = RbmModel(W=np.full((2, 1), 50.0), b=np.zeros(2),
+                     stats=stats_at(np.zeros(2)))
         d_W = nll_gradient(m, [[1, -1]], [[1, 1]]).d_W
         assert d_W == pytest.approx(np.ones((2, 1)))
 
@@ -71,7 +72,7 @@ class TestHiddenMean:
 
 class TestExactNll:
     def test_uniform_model(self):
-        m = RbmModel(W=np.zeros((4, 2)), b=np.zeros(4), mu=np.zeros(4))
+        m = RbmModel(W=np.zeros((4, 2)), b=np.zeros(4), stats=stats_at(np.zeros(4)))
         data = random_spins(np.random.default_rng(0), (8, 4))
         assert exact_nll(m, data) == pytest.approx(4 * np.log(2))
 
@@ -88,17 +89,17 @@ class TestExactNll:
     def test_hidden_permutation_invariance(self, rng):
         m = random_model(rng, 4, 3)
         data = random_spins(rng, (6, 4))
-        perm = RbmModel(W=m.W[:, [2, 0, 1]], b=m.b, mu=m.mu)
+        perm = replace(m, W=m.W[:, [2, 0, 1]])
         assert exact_nll(m, data) == pytest.approx(exact_nll(perm, data))
 
     def test_column_sign_flip_invariance(self, rng):
         m = random_model(rng, 4, 3)
         data = random_spins(rng, (6, 4))
-        flipped = RbmModel(W=m.W * np.array([1, -1, -1]), b=m.b, mu=m.mu)
+        flipped = replace(m, W=m.W * np.array([1, -1, -1]))
         assert exact_nll(m, data) == pytest.approx(exact_nll(flipped, data))
 
     def test_size_guard(self):
-        m = RbmModel(W=np.zeros((20, 5)), b=np.zeros(20), mu=np.zeros(20))
+        m = RbmModel(W=np.zeros((20, 5)), b=np.zeros(20), stats=stats_at(np.zeros(20)))
         with pytest.raises(ValueError, match="enumeration refused"):
             exact_nll(m, np.ones((1, 20), dtype=np.int8))
 
@@ -163,7 +164,7 @@ class TestGradient:
         assert np.allclose(g.d_b, 0) and np.allclose(g.d_W, 0)
 
     def test_opposite_constant_batches(self):
-        m = RbmModel(W=np.zeros((4, 2)), b=np.zeros(4), mu=np.zeros(4))
+        m = RbmModel(W=np.zeros((4, 2)), b=np.zeros(4), stats=stats_at(np.zeros(4)))
         data = np.ones((3, 4), dtype=np.int8)
         neg = -np.ones((3, 4), dtype=np.int8)
         g = nll_gradient(m, data, neg)
@@ -205,16 +206,16 @@ class TestGradient:
             bp, bm = m.b.copy(), m.b.copy()
             bp[j] += step
             bm[j] -= step
-            fd_b[j] = (exact_nll(RbmModel(W=m.W, b=bp, mu=m.mu), data)
-                       - exact_nll(RbmModel(W=m.W, b=bm, mu=m.mu), data)) / (2 * step)
+            fd_b[j] = (exact_nll(replace(m, b=bp), data)
+                       - exact_nll(replace(m, b=bm), data)) / (2 * step)
         fd_W = np.zeros((5, 3))
         for j in range(5):
             for i in range(3):
                 Wp, Wm = m.W.copy(), m.W.copy()
                 Wp[j, i] += step
                 Wm[j, i] -= step
-                fd_W[j, i] = (exact_nll(RbmModel(W=Wp, b=m.b, mu=m.mu), data)
-                              - exact_nll(RbmModel(W=Wm, b=m.b, mu=m.mu), data)) / (2 * step)
+                fd_W[j, i] = (exact_nll(replace(m, W=Wp), data)
+                              - exact_nll(replace(m, W=Wm), data)) / (2 * step)
         scale = max(np.abs(fd_b).max(), np.abs(fd_W).max())
         assert np.abs(g.d_b - fd_b).max() / scale < 1e-6
         assert np.abs(g.d_W - fd_W).max() / scale < 1e-6
@@ -223,13 +224,15 @@ class TestGradient:
 class TestModelValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            RbmModel(W=np.zeros((3, 2)), b=np.zeros(2), mu=np.zeros(3))
+            RbmModel(W=np.zeros((3, 2)), b=np.zeros(2), stats=stats_at(np.zeros(3)))
+        with pytest.raises(ValueError, match="mu shape"):
+            RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), stats=stats_at(np.zeros(2)))
 
     def test_non_finite_rejected(self):
         W = np.zeros((2, 2))
         W[0, 0] = np.nan
         with pytest.raises(ValueError):
-            RbmModel(W=W, b=np.zeros(2), mu=np.zeros(2))
+            RbmModel(W=W, b=np.zeros(2), stats=stats_at(np.zeros(2)))
 
     def test_spin_validation(self):
         m = tiny()

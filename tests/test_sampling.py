@@ -1,9 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import brute_visible_probs, random_model, random_spins
+from conftest import brute_visible_probs, random_model, random_spins, stats_at
 from spinrbm.data import DataStats, Dataset, compute_stats
 from spinrbm.model import RbmModel
 from spinrbm.sampling import (belief_generate, draw_spins, gibbs_chain,
@@ -13,9 +14,10 @@ from spinrbm.sampling import (belief_generate, draw_spins, gibbs_chain,
 N_MC = 10 ** 6
 
 
-def stats_for(model, rng, n=200):
+def with_data_stats(model, rng, n=200):
+    """model carrying the statistics of n random spin rows."""
     data = random_spins(rng, (n, model.n_v))
-    return compute_stats(Dataset(spins=data))
+    return replace(model, stats=compute_stats(Dataset(spins=data)))
 
 
 class TestDrawSpins:
@@ -83,20 +85,21 @@ class TestDrawSpins:
 
 class TestSampleHidden:
     def test_symmetric_at_zero_field(self):
-        m = RbmModel(W=np.zeros((2, 1)), b=np.zeros(2), mu=np.zeros(2))
+        m = RbmModel(W=np.zeros((2, 1)), b=np.zeros(2), stats=stats_at(np.zeros(2)))
         v = np.ones((N_MC // 10, 2), dtype=np.int8)
         h = sample_hidden(m, v, make_rng(0))
         freq = (h == 1).mean()
         assert abs(freq - 0.5) < 3 * 0.5 / np.sqrt(h.size)
 
     def test_saturated_column(self):
-        m = RbmModel(W=np.full((3, 1), 40.0), b=np.zeros(3), mu=np.zeros(3))
+        m = RbmModel(W=np.full((3, 1), 40.0), b=np.zeros(3),
+                     stats=stats_at(np.zeros(3)))
         h = sample_hidden(m, np.ones((1000, 3), dtype=np.int8), make_rng(1))
         assert np.all(h == 1)
 
     def test_logistic_frequency(self):
         # phi = 0.5 per unit -> P(+1) = logistic(1)
-        m = RbmModel(W=np.array([[0.5]]), b=np.zeros(1), mu=np.zeros(1))
+        m = RbmModel(W=np.array([[0.5]]), b=np.zeros(1), stats=stats_at(np.zeros(1)))
         v = np.ones((N_MC, 1), dtype=np.int8)
         h = sample_hidden(m, v, make_rng(2))
         p = 1 / (1 + np.exp(-1.0))
@@ -106,20 +109,22 @@ class TestSampleHidden:
     def test_overflowing_field_rejected(self):
         # every W entry lies within float32 range, their sum does not; any
         # warning fails the suite, so this also pins that none is printed
-        m = RbmModel(W=np.full((4, 3), 2e38), b=np.zeros(4), mu=np.zeros(4))
+        m = RbmModel(W=np.full((4, 3), 2e38), b=np.zeros(4),
+                     stats=stats_at(np.zeros(4)))
         with pytest.raises(ValueError, match="hidden field overflows float32"):
             sample_hidden(m, np.ones((5, 4), dtype=np.int8), make_rng(2))
 
 
 class TestSampleVisible:
     def test_decoupled_uniform(self):
-        m = RbmModel(W=np.zeros((2, 1)), b=np.zeros(2), mu=np.zeros(2))
+        m = RbmModel(W=np.zeros((2, 1)), b=np.zeros(2), stats=stats_at(np.zeros(2)))
         v = sample_visible(m, np.ones((N_MC // 10, 1), dtype=np.int8), make_rng(3))
         freq = (v == 1).mean()
         assert abs(freq - 0.5) < 3 * 0.5 / np.sqrt(v.size)
 
     def test_bias_saturation(self):
-        m = RbmModel(W=np.zeros((2, 1)), b=np.array([40.0, 40.0]), mu=np.zeros(2))
+        m = RbmModel(W=np.zeros((2, 1)), b=np.array([40.0, 40.0]),
+                     stats=stats_at(np.zeros(2)))
         v = sample_visible(m, np.ones((500, 1), dtype=np.int8), make_rng(4))
         assert np.all(v == 1)
 
@@ -137,7 +142,7 @@ class TestSampleVisible:
                              ids=["product", "bias"])
     def test_overflowing_field_rejected(self, w, b):
         # W h alone overflows, or W h = 2.4e38 does not and b + W h does
-        m = RbmModel(W=np.full((4, 2), w), b=np.full(4, b), mu=np.zeros(4))
+        m = RbmModel(W=np.full((4, 2), w), b=np.full(4, b), stats=stats_at(np.zeros(4)))
         with pytest.raises(ValueError, match="visible field overflows float32"):
             sample_visible(m, np.ones((5, 2), dtype=np.int8), make_rng(5))
 
@@ -183,34 +188,27 @@ class TestGibbs:
 class TestSamplePhi:
     def test_zero_covariance(self, rng):
         m = random_model(rng, 3, 2)
-        stats = DataStats(mu=np.zeros(3), sigma=np.zeros((3, 3)))
-        phi = sample_phi(m, stats, 10, make_rng(8))
+        assert np.all(m.stats.sigma == 0)
+        phi = sample_phi(m, 10, make_rng(8))
         assert np.all(phi == 0)
 
     def test_zero_weights(self, rng):
-        m = RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), mu=np.zeros(3))
-        stats = stats_for(m, rng)
-        assert np.all(sample_phi(m, stats, 10, make_rng(9)) == 0)
+        m = RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), stats=stats_at(np.zeros(3)))
+        m = with_data_stats(m, rng)
+        assert np.all(sample_phi(m, 10, make_rng(9)) == 0)
 
     def test_float32_output(self, rng):
-        m = random_model(rng, 5, 3)
-        stats = stats_for(m, rng)
-        phi = sample_phi(m, stats, 10, make_rng(20))
+        m = with_data_stats(random_model(rng, 5, 3), rng)
+        phi = sample_phi(m, 10, make_rng(20))
         assert phi.dtype == np.float32 and phi.shape == (10, 3)
-        assert stats.sigma.dtype == np.float64
-
-    def test_missing_stats(self, rng):
-        m = random_model(rng, 3, 2)
-        with pytest.raises(ValueError):
-            sample_phi(m, None, 10, make_rng(10))
+        assert m.stats.sigma.dtype == np.float64
 
     def test_covariance_law(self, rng):
-        m = random_model(rng, 6, 3)
-        stats = stats_for(m, rng, n=500)
+        m = with_data_stats(random_model(rng, 6, 3), rng, n=500)
         n = 10 ** 5
-        phi = sample_phi(m, stats, n, make_rng(11))
+        phi = sample_phi(m, n, make_rng(11))
         emp = phi.T @ phi / n
-        target = m.W.T @ stats.sigma @ m.W
+        target = m.W.T @ m.stats.sigma @ m.W
         # entrywise 5-standard-error band; var of a covariance entry ~
         # (C_ii C_jj + C_ij^2) / n for Gaussians
         var = (np.outer(np.diag(target), np.diag(target)) + target ** 2) / n
@@ -223,6 +221,7 @@ class TestSamplePhi:
         m = random_model(gen, 6, 5)
         patterns = random_spins(gen, (3, 6))
         stats = compute_stats(Dataset(spins=patterns[gen.integers(0, 3, 300)]))
+        m = replace(m, stats=stats)
         assert np.linalg.matrix_rank(stats.sigma) == 2
         target = m.W.T @ stats.sigma @ m.W
         # the float32 C that sample_phi forms has no Cholesky factor
@@ -230,41 +229,38 @@ class TestSamplePhi:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(C.astype(np.float64))
         n = 10 ** 5
-        phi = sample_phi(m, stats, n, make_rng(18))
+        phi = sample_phi(m, n, make_rng(18))
         emp = phi.T @ phi / n
         var = (np.outer(np.diag(target), np.diag(target)) + target ** 2) / n
         assert np.all(np.abs(emp - target) < 5 * np.sqrt(var) + 1e-12)
 
     def test_linearity_in_w(self, rng):
-        m = random_model(rng, 4, 2)
-        stats = stats_for(m, rng)
-        scaled = RbmModel(W=3.0 * m.W, b=m.b, mu=m.mu)
-        a = sample_phi(m, stats, 20, make_rng(12))
-        b = sample_phi(scaled, stats, 20, make_rng(12))
+        m = with_data_stats(random_model(rng, 4, 2), rng)
+        scaled = replace(m, W=3.0 * m.W)
+        a = sample_phi(m, 20, make_rng(12))
+        b = sample_phi(scaled, 20, make_rng(12))
         assert b == pytest.approx(3.0 * a)
 
 
 class TestBeliefGenerate:
     def test_output_is_spin_batch(self, rng):
-        m = random_model(rng, 5, 3)
-        stats = stats_for(m, rng)
+        m = with_data_stats(random_model(rng, 5, 3), rng)
         gen = make_rng(13)
-        v = gibbs_steps(m, belief_generate(m, stats, 17, gen), 2, gen)
+        v = gibbs_steps(m, belief_generate(m, 17, gen), 2, gen)
         assert v.shape == (17, 5)
         assert set(np.unique(v)) <= {-1, 1}
 
     def test_determinism(self, rng):
-        m = random_model(rng, 5, 3)
-        stats = stats_for(m, rng)
-        a = belief_generate(m, stats, 8, make_rng(14))
-        b = belief_generate(m, stats, 8, make_rng(14))
+        m = with_data_stats(random_model(rng, 5, 3), rng)
+        a = belief_generate(m, 8, make_rng(14))
+        b = belief_generate(m, 8, make_rng(14))
         assert np.array_equal(a, b)
 
     def test_zero_weights_pixel_law(self):
         b = np.array([0.4, -0.3])
-        m = RbmModel(W=np.zeros((2, 2)), b=b, mu=np.zeros(2))
         stats = DataStats(mu=np.zeros(2), sigma=np.eye(2))
-        v = belief_generate(m, stats, N_MC // 10, make_rng(15))
+        m = RbmModel(W=np.zeros((2, 2)), b=b, stats=stats)
+        v = belief_generate(m, N_MC // 10, make_rng(15))
         for j in range(2):
             p = 1 / (1 + np.exp(-2 * b[j]))
             se = np.sqrt(p * (1 - p) / v.shape[0])
@@ -275,42 +271,39 @@ class TestBeliefGenerate:
         # plus a few refinement sweeps should land in them
         n_v, n_h = 6, 3
         W = np.full((n_v, n_h), 0.8)
-        m = RbmModel(W=W, b=np.zeros(n_v), mu=np.zeros(n_v))
         data = np.vstack([np.ones((50, n_v)), -np.ones((50, n_v))]).astype(np.int8)
         stats = compute_stats(Dataset(spins=data))
+        m = RbmModel(W=W, b=np.zeros(n_v), stats=stats)
         gen = make_rng(16)
-        v = gibbs_steps(m, belief_generate(m, stats, 400, gen), 8, gen)
+        v = gibbs_steps(m, belief_generate(m, 400, gen), 8, gen)
         agreement = np.abs(v.sum(axis=1)) / n_v
         assert (agreement == 1.0).mean() >= 0.9
 
     def test_batch_validation(self, rng):
-        m = random_model(rng, 4, 2)
-        stats = stats_for(m, rng)
+        m = with_data_stats(random_model(rng, 4, 2), rng)
         with pytest.raises(ValueError):
-            belief_generate(m, stats, 0, make_rng(17))
+            belief_generate(m, 0, make_rng(17))
 
 
 class TestGibbsChain:
     def test_matches_belief_generate_then_gibbs_steps(self, rng):
-        m = random_model(rng, 6, 3)
-        stats = stats_for(m, rng)
+        m = with_data_stats(random_model(rng, 6, 3), rng)
         steps = [0, 1, 1, 4]
         seen = []
-        for k, v in gibbs_chain(m, stats, 20, steps, make_rng(18)):
+        for k, v in gibbs_chain(m, 20, steps, make_rng(18)):
             seen.append(k)
             ref_rng = make_rng(18)
-            ref = belief_generate(m, stats, 20, ref_rng)
+            ref = belief_generate(m, 20, ref_rng)
             ref = gibbs_steps(m, ref, k, ref_rng)
             assert np.array_equal(v, ref)
         assert seen == steps
 
     @pytest.mark.parametrize("steps", [[2, 1], [-1, 0]])
     def test_bad_steps_rejected_before_drawing(self, rng, steps):
-        m = random_model(rng, 4, 2)
-        stats = stats_for(m, rng)
+        m = with_data_stats(random_model(rng, 4, 2), rng)
         gen = make_rng(19)
         with pytest.raises(ValueError, match="ascending and nonnegative"):
-            gibbs_chain(m, stats, 8, steps, gen)
+            gibbs_chain(m, 8, steps, gen)
         assert gen.random() == make_rng(19).random()  # nothing drawn
 
 

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_model, random_sigma, random_spins, with_config
-from spinrbm.data import Dataset, compute_stats
+from conftest import (random_model, random_sigma, random_spins, stats_at,
+                      with_config)
+from spinrbm.data import DataStats, Dataset, compute_stats
 from spinrbm.model import GradientPair, RbmModel, exact_nll, exact_nll_gradient
 from spinrbm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                               TrainConfig, adam_step, init_model,
@@ -27,24 +28,34 @@ def pattern_dataset(n_v=8, copies=40):
     return Dataset(spins=spins)
 
 
+def fit(dataset, config):
+    """train from the initial model of config on the dataset's statistics."""
+    return train(dataset, init_model(compute_stats(dataset), config), config)
+
+
 class TestInitModel:
     def test_zero_std(self):
-        m = init_model(5, 3, 0.0, np.zeros(5), seed=1)
+        m = init_model(stats_at(np.zeros(5)),
+                       small_config(n_hidden=3, init_std=0.0, seed=1))
         assert np.all(m.W == 0) and np.all(m.b == 0)
 
     def test_determinism(self):
-        a = init_model(5, 3, 0.1, np.zeros(5), seed=9)
-        b = init_model(5, 3, 0.1, np.zeros(5), seed=9)
+        config = small_config(n_hidden=3, init_std=0.1, seed=9)
+        a = init_model(stats_at(np.zeros(5)), config)
+        b = init_model(stats_at(np.zeros(5)), config)
         assert np.array_equal(a.W, b.W)
 
     def test_weight_scale(self):
-        m = init_model(784, 512, 0.1, np.zeros(784), seed=2)
+        m = init_model(stats_at(np.zeros(784)),
+                       small_config(n_hidden=512, init_std=0.1, seed=2))
+        assert m.W.shape == (784, 512)
         assert m.W.std() == pytest.approx(0.1, rel=0.02)
 
     def test_mu_comes_from_stats(self):
         mu = np.linspace(-0.5, 0.5, 4)
-        m = init_model(4, 2, 0.1, mu, seed=0)
-        assert np.array_equal(m.mu, mu)
+        stats = stats_at(mu)
+        m = init_model(stats, small_config(n_hidden=2, init_std=0.1, seed=0))
+        assert m.stats is stats and np.array_equal(m.mu, mu)
 
 
 class TestAdam:
@@ -116,20 +127,23 @@ class TestAdam:
 class TestTrain:
     def test_zero_epochs_noop(self):
         ds = pattern_dataset()
-        stats = compute_stats(ds)
         config = small_config(epochs=0)
-        model, metrics = train(ds, stats, config)
-        ref = init_model(ds.n_v, config.n_hidden, config.init_std, stats.mu,
-                         config.seed)
-        assert np.array_equal(model.W, ref.W)
+        start = init_model(compute_stats(ds), config)
+        model, metrics = train(ds, start, config)
+        assert model is start and np.array_equal(model.W, start.W)
         assert metrics == []
+
+    def test_model_shape_must_match_data_and_config(self):
+        ds = pattern_dataset()
+        start = init_model(compute_stats(ds), small_config(n_hidden=3))
+        with pytest.raises(ValueError, match=r"\(8, 3\).*\(8, 4\)"):
+            train(ds, start, small_config(n_hidden=4))
 
     def test_determinism(self):
         ds = pattern_dataset()
-        stats = compute_stats(ds)
         config = small_config(epochs=3, seed=11)
-        m1, r1 = train(ds, stats, config)
-        m2, r2 = train(ds, stats, config)
+        m1, r1 = fit(ds, config)
+        m2, r2 = fit(ds, config)
         assert np.array_equal(m1.W, m2.W) and np.array_equal(m1.b, m2.b)
         assert [m.energy_coefficient for m in r1] == [m.energy_coefficient for m in r2]
 
@@ -139,52 +153,50 @@ class TestTrain:
         ds = pattern_dataset()
         stats = compute_stats(ds)
         sigma = stats.sigma.copy()
-        model, _ = train(ds, stats, small_config(epochs=2))
+        config = small_config(epochs=2)
+        model, _ = train(ds, init_model(stats, config), config)
+        assert model.stats is stats
         assert (stats.sigma.dtype == np.float64
                 and stats.sigma.tobytes() == sigma.tobytes())
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, small_config(), stats, path)
-        _, _, s2 = load_checkpoint(path)
+        save_checkpoint(model, small_config(), path)
+        s2 = load_checkpoint(path)[0].stats
         assert (s2.sigma.dtype == np.float64
                 and s2.sigma.tobytes() == sigma.tobytes())
 
     def test_mu_never_trained(self):
         ds = pattern_dataset()
         stats = compute_stats(ds)
-        model, _ = train(ds, stats, small_config(epochs=3))
+        config = small_config(epochs=3)
+        model, _ = train(ds, init_model(stats, config), config)
         assert np.array_equal(model.mu, stats.mu)
 
     def test_data_pattern_energy_decreases(self):
         # free energy of the two data patterns drops from init to trained
         ds = pattern_dataset(n_v=8)
-        stats = compute_stats(ds)
         config = small_config(n_hidden=4, epochs=200, batch_size=16,
                               learning_rate=1e-2, seed=3)
-        trained, _ = train(ds, stats, config)
-        init = init_model(ds.n_v, config.n_hidden, config.init_std, stats.mu,
-                          config.seed)
+        init = init_model(compute_stats(ds), config)
+        trained, _ = train(ds, init, config)
         patterns = Dataset(spins=np.unique(ds.spins, axis=0))
         assert exact_nll(trained, patterns.spins) < exact_nll(init, patterns.spins)
 
     def test_metrics_cadence(self):
         ds = pattern_dataset()
-        stats = compute_stats(ds)
-        _, metrics = train(ds, stats, small_config(epochs=6, eval_every=2))
+        _, metrics = fit(ds, small_config(epochs=6, eval_every=2))
         assert [m.epoch for m in metrics] == [2, 4, 6]
 
     def test_cd_k_mode_runs(self):
         ds = pattern_dataset()
-        stats = compute_stats(ds)
         config = small_config(epochs=2, negative_mode="cd_k_from_data", k=2)
-        model, metrics = train(ds, stats, config)
+        model, metrics = fit(ds, config)
         assert np.all(np.isfinite(model.W)) and metrics
 
     def test_batch_larger_than_training_split_rejected(self):
         # 80 rows less an 8-row held-out fold leave 72 for training
         ds = pattern_dataset()
-        stats = compute_stats(ds)
         with pytest.raises(ValueError, match="holds 72 rows.*batch_size 75"):
-            train(ds, stats, small_config(batch_size=75))
+            fit(ds, small_config(batch_size=75))
 
 
 class TestExactDescent:
@@ -197,7 +209,7 @@ class TestExactDescent:
         for _ in range(10):
             g = exact_nll_gradient(model, data)
             model = RbmModel(W=model.W - lr * g.d_W, b=model.b - lr * g.d_b,
-                             mu=model.mu)
+                             stats=model.stats)
             now = exact_nll(model, data)
             assert now < last
             last = now
@@ -205,21 +217,21 @@ class TestExactDescent:
 
 class TestCheckpoint:
     def _random_state(self, rng, n_v=6, n_h=3, r=4, **config):
-        """A model, data statistics whose sigma has rank r, and a config
-        with its n_hidden."""
-        from spinrbm.data import DataStats
+        """A model whose data statistics have a sigma of rank r, and a
+        config with its n_hidden."""
         model = random_model(rng, n_v, n_h, centered=False)
         stats = DataStats(mu=model.mu, sigma=random_sigma(rng, n_v, r))
-        return model, stats, small_config(n_hidden=n_h, **config)
+        return (RbmModel(W=model.W, b=model.b, stats=stats),
+                small_config(n_hidden=n_h, **config))
 
     def test_roundtrip_bit_exact(self, rng, tmp_path):
         for i in range(10):
-            model, stats, config = self._random_state(rng, seed=i)
+            model, config = self._random_state(rng, seed=i)
             path = tmp_path / f"ck{i}.rbm"
-            save_checkpoint(model, config, stats, path)
-            m2, c2, s2 = load_checkpoint(path)
+            save_checkpoint(model, config, path)
+            m2, c2 = load_checkpoint(path)
             for a, b in ((model.W, m2.W), (model.b, m2.b), (model.mu, m2.mu),
-                         (stats.sigma, s2.sigma)):
+                         (model.stats.sigma, m2.stats.sigma)):
                 assert a.tobytes() == b.tobytes()
             assert c2 == config
 
@@ -227,9 +239,9 @@ class TestCheckpoint:
     def test_length_is_header_arrays_and_config(self, rng, tmp_path, n_v, n_h, r):
         # header, b, W, mu and sigma (n_v x n_v, whatever its rank r), then
         # the config echo behind its u32 length
-        model, stats, config = self._random_state(rng, n_v, n_h, r)
+        model, config = self._random_state(rng, n_v, n_h, r)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
+        save_checkpoint(model, config, path)
         config_json = json.dumps(config.__dict__, sort_keys=True).encode()
         assert path.stat().st_size == (20 + 8 * (2 * n_v + n_v * n_h + n_v * n_v)
                                        + 4 + len(config_json))
@@ -237,18 +249,18 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key", sorted(TrainConfig.__dataclass_fields__))
     def test_missing_config_key_rejected(self, rng, tmp_path, key):
-        model, stats, config = self._random_state(rng)
+        model, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
+        save_checkpoint(model, config, path)
         fields = {k: v for k, v in config.__dict__.items() if k != key}
         path.write_bytes(with_config(path.read_bytes(), config, fields))
         with pytest.raises(ValueError, match=f"missing checkpoint config key '{key}'"):
             load_checkpoint(path)
 
     def test_corrupted_magic_rejected(self, rng, tmp_path):
-        model, stats, config = self._random_state(rng)
+        model, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
+        save_checkpoint(model, config, path)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -256,17 +268,17 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncation_rejected(self, rng, tmp_path):
-        model, stats, config = self._random_state(rng)
+        model, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
+        save_checkpoint(model, config, path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
     def test_truncation_at_every_offset_rejected(self, rng, tmp_path):
-        model, stats, config = self._random_state(rng, n_v=4, n_h=3, r=4)
+        model, config = self._random_state(rng, n_v=4, n_h=3, r=4)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
+        save_checkpoint(model, config, path)
         blob = path.read_bytes()
         cut = tmp_path / "cut.rbm"
         for n in range(len(blob)):
@@ -277,9 +289,9 @@ class TestCheckpoint:
     def test_every_flipped_byte_rejected(self, rng, tmp_path):
         # the magic and the version are checked by value, the checksum
         # covers every byte after them: no flip of any byte loads
-        model, stats, config = self._random_state(rng, n_v=4, n_h=3, r=4)
+        model, config = self._random_state(rng, n_v=4, n_h=3, r=4)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
+        save_checkpoint(model, config, path)
         blob = path.read_bytes()
         flipped = tmp_path / "flipped.rbm"
         for at in range(len(blob)):
@@ -291,9 +303,9 @@ class TestCheckpoint:
                     load_checkpoint(flipped)
 
     def test_checksum_mismatch_named(self, rng, tmp_path):
-        model, stats, config = self._random_state(rng)
+        model, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
+        save_checkpoint(model, config, path)
         blob = bytearray(path.read_bytes())
         blob[-2] ^= 0x01  # a byte of the config echo: no size changes
         path.write_bytes(bytes(blob))
@@ -301,9 +313,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, rng, tmp_path):
-        model, stats, config = self._random_state(rng)
+        model, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
+        save_checkpoint(model, config, path)
         path.write_bytes(with_config(path.read_bytes(), config,
                                      {**config.__dict__, "bogus": 1}))
         with pytest.raises(ValueError, match="'bogus'"):
@@ -311,11 +323,11 @@ class TestCheckpoint:
 
     def test_sampling_without_recomputing_stats(self, rng, tmp_path):
         from spinrbm.sampling import belief_generate, make_rng
-        model, stats, config = self._random_state(rng)
+        model, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
-        save_checkpoint(model, config, stats, path)
-        m2, _, s2 = load_checkpoint(path)
-        v = belief_generate(m2, s2, 5, make_rng(0))
+        save_checkpoint(model, config, path)
+        m2, _ = load_checkpoint(path)
+        v = belief_generate(m2, 5, make_rng(0))
         assert v.shape == (5, model.n_v)
 
 
