@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import binarize, compute_stats, load_idx
 from .images import rescale_to_gray, spins_to_gray, tile_grid, write_pgm
-from .io_util import atomic_write_text
+from .io_util import atomic_write_bytes
 from .metrics import RECON_ERROR_DEFINITION, eval_curve, reconstruct
 from .sampling import gibbs_chain, make_rng
 from .training import (NEGATIVE_MODES, TrainConfig, TrainingDiverged,
@@ -90,7 +90,10 @@ def _load_dataset(data_path, threshold, subset=0):
 
 def _parse_steps(text):
     """Step list from "0,1,2" or "0 1 2"; gibbs_chain checks the order."""
-    steps = [int(s) for s in str(text).replace(",", " ").split()]
+    try:
+        steps = [int(s) for s in str(text).replace(",", " ").split()]
+    except ValueError as exc:
+        raise CliError(f"--steps {text!r}: {exc}") from None
     if not steps:
         raise CliError(f"--steps names no step: {text!r}")
     return steps
@@ -148,7 +151,7 @@ def _write_csv(path, header, rows):
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_bytes(path, buf.getvalue().encode())
 
 
 def _image_side(n_v):
@@ -200,7 +203,8 @@ def cmd_train(args):
         "threads": _thread_setting(),
         "numpy_version": np.__version__,
     }
-    atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    atomic_write_bytes(out / "manifest.json",
+                       (json.dumps(manifest, indent=2) + "\n").encode())
 
     def on_epoch(record):
         print(f"epoch {record.epoch:4d}  energy_coeff {record.energy_coefficient:.4f}"

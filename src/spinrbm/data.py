@@ -13,8 +13,8 @@ from .sampling import make_rng
 
 IDX_MAGIC_IMAGES = 0x00000803
 
-# rows per block in binarize and compute_stats: their temporaries hold at
-# most this many rows, never the whole dataset
+# rows per block in compute_stats: its float32 block holds at most this
+# many rows, never the whole dataset
 _ROWS = 4096
 
 
@@ -113,20 +113,19 @@ def load_idx(path):
 
 
 def binarize(images, threshold=0.5):
-    """Map 0-255 pixels to spins: +1 where pixel/255 > threshold, else -1.
+    """Map uint8 pixels to spins: +1 where pixel/255 > threshold, else -1.
 
-    Works in blocks of _ROWS rows, writing into one int8 array.
+    pixel/255 rises with the pixel: the +1 pixels are those >= one cutoff.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     images = np.asarray(images)
-    flat = images.reshape(images.shape[0], -1)
-    spins = np.empty(flat.shape, dtype=np.int8)
-    for lo in range(0, flat.shape[0], _ROWS):
-        out = spins[lo:lo + _ROWS]
-        np.greater(flat[lo:lo + _ROWS] / 255.0, threshold, out=out.view(np.bool_))
-        out += out  # {0, 1} -> {-1, +1}
-        out -= 1
+    if images.dtype != np.uint8:
+        raise ValueError(f"binarize takes uint8 pixels, got {images.dtype}")
+    cutoff = int(np.count_nonzero(np.arange(256) / 255.0 <= threshold))
+    spins = (images.reshape(images.shape[0], -1) >= cutoff).view(np.int8)
+    spins += spins  # {0, 1} -> {-1, +1}
+    spins -= 1
     return Dataset(spins=spins)
 
 

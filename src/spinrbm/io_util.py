@@ -18,7 +18,3 @@ def atomic_write_bytes(path, blob):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode())

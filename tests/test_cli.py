@@ -248,9 +248,11 @@ class TestSample:
         assert read_pgm(out).shape == (29 + 1, 16 * 29 + 1)
 
     def test_empty_steps_rejected(self, trained_run, tmp_path, capsys):
-        # and a chain count below one
+        # a step that is not an integer, and a chain count below one
         out = tmp_path / "s.pgm"
         for flag, value, reason in (("--steps", "", "--steps"),
+                                    ("--steps", "0,x", "--steps '0,x': invalid "
+                                     "literal for int() with base 10: 'x'"),
                                     ("--chains", "0", "--chains must be >= 1, got 0"),
                                     ("--chains", "-3", "--chains must be >= 1, got -3")):
             code = main(["sample", "--checkpoint", str(trained_run / "checkpoint.rbm"),
@@ -419,12 +421,16 @@ class TestEval:
 
     def test_empty_steps_rejected(self, trained_run, synthetic_idx_dir,
                                   tmp_path, capsys):
+        # and a step that is not an integer
         out = tmp_path / "e.csv"
-        code = main(["eval", "--checkpoint", str(trained_run / "checkpoint.rbm"),
-                     "--data", str(synthetic_idx_dir), "--out", str(out),
-                     "--steps", ","])
-        assert_error_line(code, capsys, "--steps")
-        assert not out.exists()
+        for steps, reason in ((",", "--steps"),
+                              ("0,x", "--steps '0,x': invalid literal for "
+                               "int() with base 10: 'x'")):
+            code = main(["eval", "--checkpoint", str(trained_run / "checkpoint.rbm"),
+                         "--data", str(synthetic_idx_dir), "--out", str(out),
+                         "--steps", steps])
+            assert_error_line(code, capsys, reason)
+            assert not out.exists()
 
 
 class TestWeights:
