@@ -26,6 +26,7 @@ from .data import binarize, compute_stats, load_idx
 from .images import rescale_to_gray, spins_to_gray, tile_grid, write_pgm
 from .io_util import atomic_write_bytes
 from .metrics import RECON_ERROR_DEFINITION, eval_curve, reconstruct
+from .model import spins_from_mask
 from .sampling import gibbs_chain, make_rng
 from .training import (NEGATIVE_MODES, TrainConfig, TrainingDiverged,
                        holdout_size, init_model, load_checkpoint,
@@ -256,7 +257,7 @@ def cmd_reconstruct(args):
     idx = rng.choice(dataset.n, size=args.count, replace=False)
     originals = dataset.spins[idx]
     v_hat = reconstruct(model, originals, rng)
-    recon = np.where(v_hat >= 0, 1, -1).astype(np.int8)
+    recon = spins_from_mask(v_hat >= 0)
     tiles = spins_to_gray(originals, side) + spins_to_gray(recon, side)
     write_pgm(args.out, tile_grid(tiles, 2, args.count))
     disagree = float(np.mean(originals != recon))

@@ -1,6 +1,7 @@
 """MNIST-style IDX ingestion, spin binarization, and dataset statistics."""
 
 import gzip
+import math
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import check_float32_range, check_spins
+from .model import check_float32_range, check_spins, spins_from_mask
 from .sampling import make_rng
 
 IDX_MAGIC_IMAGES = 0x00000803
@@ -29,10 +30,7 @@ class Dataset:
     spins: np.ndarray
 
     def __post_init__(self):
-        spins = np.atleast_2d(check_spins(self.spins, name="spins"))
-        if spins.shape[0] == 0:
-            raise ValueError("dataset must contain at least one sample")
-        object.__setattr__(self, "spins", spins)
+        object.__setattr__(self, "spins", check_spins(self.spins, name="spins"))
 
     @property
     def n(self):
@@ -101,8 +99,8 @@ def load_idx(path):
     if len(raw) < header_len:
         raise IdxParseError(f"{path}: truncated dimensions at offset 4")
     dims = [int.from_bytes(raw[4 + 4 * i: 8 + 4 * i], "big") for i in range(3)]
-    count = int(np.prod(dims, dtype=np.int64))
-    if count < 0 or count > (1 << 40) or 0 in dims[1:]:
+    count = math.prod(dims)
+    if 0 in dims or count > (1 << 40):
         raise IdxParseError(f"{path}: implausible dimensions {dims} at offset 4")
     if len(raw) != header_len + count:
         raise IdxParseError(
@@ -123,10 +121,8 @@ def binarize(images, threshold=0.5):
     if images.dtype != np.uint8:
         raise ValueError(f"binarize takes uint8 pixels, got {images.dtype}")
     cutoff = int(np.count_nonzero(np.arange(256) / 255.0 <= threshold))
-    spins = (images.reshape(images.shape[0], -1) >= cutoff).view(np.int8)
-    spins += spins  # {0, 1} -> {-1, +1}
-    spins -= 1
-    return Dataset(spins=spins)
+    above = images.reshape(images.shape[0], math.prod(images.shape[1:])) >= cutoff
+    return Dataset(spins=spins_from_mask(above))
 
 
 def compute_stats(dataset):

@@ -56,26 +56,3 @@ def write_pgm(path, image):
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
     atomic_write_bytes(path, header + image.tobytes())
 
-
-def read_pgm(path):
-    """Minimal P5 reader (used by the tests)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            pos = blob.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"{path}: not a P5 PGM")
-    width, height = int(fields[1]), int(fields[2])
-    pos += 1
-    data = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=width * height)
-    return data.reshape(height, width)

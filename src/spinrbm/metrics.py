@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_spins, visible_field
+from .model import check_spins
 from .sampling import gibbs_chain, make_rng, sample_hidden
 
 # rng stream tags of eval_curve: data batch and chain; recon error per step
@@ -51,10 +51,8 @@ def energy_coefficient(x, y):
     0 for indistinguishable batches, 1 at maximal separation.  Returns 0
     when d_xy = 0 (both batches concentrated on one identical point).
     """
-    x = np.atleast_2d(check_spins(x, name="x"))
-    y = np.atleast_2d(check_spins(y, name="y"))
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        raise ValueError("empty batch")
+    x = check_spins(x, name="x")
+    y = check_spins(y, name="y")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"unit count mismatch: {x.shape[1]} vs {y.shape[1]}")
     x, y = x.astype(np.float32), y.astype(np.float32)
@@ -68,14 +66,12 @@ def energy_coefficient(x, y):
 
 def reconstruct(model, v, rng):
     """Mean-field readback tanh(b + W h) of h ~ p(h|v), one draw per row."""
-    return np.tanh(visible_field(model, sample_hidden(model, v, rng)))
+    return np.tanh(sample_hidden(model, v, rng) @ model.W.T + model.b)
 
 
 def recon_error(model, batch, rng):
     """One-step reconstruction error in [0, 1] (definition in module docstring)."""
-    batch = np.atleast_2d(check_spins(batch, model.n_v, "batch"))
-    if batch.shape[0] == 0:
-        raise ValueError("empty batch")
+    batch = check_spins(batch, model.n_v, "batch")
     return float(np.abs(batch - reconstruct(model, batch, rng)).mean() / 2.0)
 
 
@@ -87,6 +83,7 @@ def eval_curve(model, spins, batch_size, steps, seed):
     checked when iteration starts."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    spins = check_spins(spins, model.n_v, "spins")
     rng = make_rng(seed, _STREAM_CHAIN)
     n = min(batch_size, spins.shape[0])
     data_batch = spins[rng.choice(spins.shape[0], size=n, replace=False)]

@@ -79,23 +79,31 @@ def check_float32_range(arr, name):
 
 
 def check_spins(arr, n_units=None, name="batch"):
-    """Validate a +/-1 spin array and return it as int8 (copies only if needed)."""
+    """Validate a non-empty batch of +/-1 rows, a vector being one row, and
+    return it as a 2-D int8 array (copies only if needed)."""
     arr = np.asarray(arr)
     if arr.ndim == 0:
         raise ValueError(f"{name}: expected an array of spins, got a scalar")
-    if n_units is not None and arr.shape[-1] != n_units:
+    if arr.ndim > 2:
+        raise ValueError(f"{name}: expected a vector or a matrix of spins, "
+                         f"got shape {arr.shape}")
+    arr = np.atleast_2d(arr)
+    if arr.size == 0:
+        raise ValueError(f"{name}: empty batch, shape {arr.shape}")
+    if n_units is not None and arr.shape[1] != n_units:
         raise ValueError(f"{name}: expected {n_units} units, got shape {arr.shape}")
     if not np.all(np.abs(arr) == 1):
         raise ValueError(f"{name}: entries must be exactly -1 or +1")
     return arr.astype(np.int8, copy=False)
 
 
-def visible_field(model, h):
-    """Field b + W h acting on the visible units; p(v_j=+1|h) = sigma(2 field_j)."""
-    h = check_spins(h, model.n_h, "h")
-    field = h @ model.W.T
-    field += model.b
-    return field
+def spins_from_mask(mask):
+    """Turn a fresh boolean array into int8 spins in place: True -> +1,
+    False -> -1."""
+    spins = mask.view(np.int8)
+    spins += spins  # {0, 1} -> {-1, +1}
+    spins -= 1
+    return spins
 
 
 def _all_spin_states(n):
@@ -126,17 +134,10 @@ def _exact_visible_table(model):
     return V, log_num - (m + np.log(np.exp(log_num - m).sum()))
 
 
-def _check_batch(batch, model, name):
-    batch = np.atleast_2d(check_spins(batch, model.n_v, name))
-    if batch.shape[0] == 0:
-        raise ValueError(f"{name}: empty batch")
-    return batch
-
-
 def exact_nll(model, dataset):
     """Average negative log-likelihood -<log p(v)> over the dataset rows,
     by exact enumeration.  Tiny models only (n_v + n_h <= 24)."""
-    dataset = _check_batch(dataset, model, "dataset")
+    dataset = check_spins(dataset, model.n_v, "dataset")
     _, log_p = _exact_visible_table(model)
     index = (dataset > 0) @ (1 << np.arange(model.n_v))
     return float(-log_p[index].mean())
@@ -170,8 +171,8 @@ def _gradient(model, data_batch, model_rows, model_weights):
 def nll_gradient(model, data_batch, model_batch):
     """Stochastic NLL gradient: model-phase average minus data-phase average,
     each model row weighing 1/n_m."""
-    data_batch = _check_batch(data_batch, model, "data_batch")
-    model_batch = _check_batch(model_batch, model, "model_batch")
+    data_batch = check_spins(data_batch, model.n_v, "data_batch")
+    model_batch = check_spins(model_batch, model.n_v, "model_batch")
     n_m = model_batch.shape[0]
     return _gradient(model, data_batch, model_batch, np.full(n_m, 1.0 / n_m))
 
@@ -179,6 +180,6 @@ def nll_gradient(model, data_batch, model_batch):
 def exact_nll_gradient(model, data_batch):
     """NLL gradient with the model phase computed by exact enumeration
     (weights p(v) over all visible states).  Tiny models only."""
-    data_batch = _check_batch(data_batch, model, "data_batch")
+    data_batch = check_spins(data_batch, model.n_v, "data_batch")
     V, log_p = _exact_visible_table(model)
     return _gradient(model, data_batch, V, np.exp(log_p))

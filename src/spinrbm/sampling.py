@@ -12,7 +12,7 @@ stay float64.
 
 import numpy as np
 
-from .model import check_spins
+from .model import check_spins, spins_from_mask
 
 
 def draw_spins(phi, u):
@@ -43,10 +43,7 @@ def draw_spins(phi, u):
         np.exp(p_plus, out=p_plus)
     p_plus += 1.0
     np.divide(1.0, p_plus, out=p_plus)
-    spins = np.less(u, p_plus).view(np.int8)
-    spins += spins  # {0, 1} -> {-1, +1}
-    spins -= 1
-    return spins
+    return spins_from_mask(np.less(u, p_plus))
 
 
 def make_rng(seed, *stream):
@@ -68,7 +65,7 @@ def sample_hidden(model, v_batch, rng):
     The field W^T (v - mu) and the uniforms are float32.  Raises
     ValueError when the field overflows float32.
     """
-    v = np.atleast_2d(check_spins(v_batch, model.n_v, "v"))
+    v = check_spins(v_batch, model.n_v, "v")
     vc = v.astype(np.float32)
     vc -= model.mu.astype(np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -83,7 +80,7 @@ def sample_visible(model, h_batch, rng):
     The field b + W h and the uniforms are float32.  Raises ValueError when
     the field overflows float32.
     """
-    h = np.atleast_2d(check_spins(h_batch, model.n_h, "h"))
+    h = check_spins(h_batch, model.n_h, "h")
     with np.errstate(over="ignore", invalid="ignore"):
         field = h.astype(np.float32) @ model.W32.T
         field += model.b.astype(np.float32)
@@ -101,7 +98,7 @@ def gibbs_steps(model, v0, k, rng):
     """k full block-Gibbs sweeps (h|v then v|h); k=0 returns v0 unchanged."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    v = np.atleast_2d(check_spins(v0, model.n_v, "v0"))
+    v = check_spins(v0, model.n_v, "v0")
     for _ in range(k):
         h = sample_hidden(model, v, rng)
         v = sample_visible(model, h, rng)

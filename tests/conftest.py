@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ def resealed(blob):
     edited payload reaches the checks behind it."""
     crc = zlib.crc32(blob[12:])
     return blob[:8] + struct.pack("<I", crc) + blob[12:]
+
+
+# --- PGM output ---
+
+def read_pgm(path):
+    """The pixels of a PGM with the exact header write_pgm writes,
+    P5\\n<w> <h>\\n255\\n; any other header fails."""
+    magic, size, maxval, pixels = Path(path).read_bytes().split(b"\n", 3)
+    width, height = (int(x) for x in size.split(b" "))
+    assert (magic, size, maxval) == (b"P5", b"%d %d" % (width, height), b"255")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
 
 
 # --- synthetic IDX data ---

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 import spinrbm.training
-from conftest import (idx_image_bytes, random_model, resealed, stats_at,
-                      with_config, write_synthetic_idx)
+from conftest import (idx_image_bytes, random_model, read_pgm, resealed,
+                      stats_at, with_config, write_synthetic_idx)
 from spinrbm.cli import OPTIONS, main
 from spinrbm.data import DataStats
-from spinrbm.images import read_pgm
 from spinrbm.model import GradientPair, RbmModel
 from spinrbm.training import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -145,12 +144,14 @@ class TestTrain:
 
     def test_images_without_pixels_rejected(self, tmp_path, capsys):
         data = tmp_path / "img"
-        data.write_bytes(idx_image_bytes(np.zeros((100, 0, 0))))
         out = tmp_path / "run"
-        code = main(["train", "--data", str(data), "--out", str(out),
-                     *TRAIN_FLAGS])
-        assert_error_line(code, capsys, "implausible dimensions [100, 0, 0]")
-        assert not out.exists()
+        for dims in ((100, 0, 0), (0, 28, 28)):
+            data.write_bytes(idx_image_bytes(np.zeros(dims)))
+            code = main(["train", "--data", str(data), "--out", str(out),
+                         *TRAIN_FLAGS])
+            assert_error_line(code, capsys,
+                              f"{data}: implausible dimensions {list(dims)}")
+            assert not out.exists()
 
     def test_corrupt_gzip_leaves_no_output(self, tmp_path, capsys):
         data = tmp_path / "img.gz"

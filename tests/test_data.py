@@ -74,7 +74,9 @@ class TestLoadIdx:
 
     def test_images_without_pixels(self, tmp_path):
         p = tmp_path / "img"
-        for dims in ((100, 0, 0), (100, 28, 0), (100, 0, 28)):
+        # 2^31 * 2^31 * 4 = 2^64 is 0 pixels in int64 arithmetic
+        for dims in ((100, 0, 0), (100, 28, 0), (100, 0, 28), (0, 28, 28),
+                     (1 << 31, 1 << 31, 4)):
             p.write_bytes(struct.pack(">IIII", 0x803, *dims))
             with pytest.raises(IdxParseError, match="implausible dimensions"):
                 load_idx(p)
@@ -103,6 +105,10 @@ class TestBinarize:
         ds = binarize(images)
         back = ((ds.spins.astype(int) + 1) // 2 * 255).astype(np.uint8).reshape(5, 3, 3)
         assert np.array_equal(binarize(back).spins, ds.spins)
+
+    def test_no_images_rejected(self):
+        with pytest.raises(ValueError, match="spins: empty batch"):
+            binarize(np.zeros((0, 28, 28), dtype=np.uint8))
 
     def test_threshold_range(self):
         with pytest.raises(ValueError):

@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import idx_image_bytes, random_model, resealed, synthetic_digits
+from conftest import (idx_image_bytes, random_model, read_pgm, resealed,
+                      synthetic_digits)
 from spinrbm.cli import main
 from spinrbm.data import DataStats
-from spinrbm.images import read_pgm
 from spinrbm.training import TrainConfig, load_checkpoint, save_checkpoint
 
 N_V, N_H = 4, 3

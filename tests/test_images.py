@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from spinrbm.images import (PAD_VALUE, read_pgm, rescale_to_gray,
-                            spins_to_gray, tile_grid, write_pgm)
+from conftest import read_pgm
+from spinrbm.images import (PAD_VALUE, rescale_to_gray, spins_to_gray,
+                            tile_grid, write_pgm)
 
 
 def test_spins_to_gray_mapping():

@@ -94,11 +94,6 @@ class TestEnergyCoefficient:
         assert coeff >= -1e-9
         assert coeff <= 1.0 + 1e-12
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            energy_coefficient(np.empty((0, 3), dtype=np.int8),
-                               np.ones((2, 3), dtype=np.int8))
-
 
 class TestReconError:
     def test_zero_model_is_half(self, rng):

@@ -6,9 +6,9 @@ import pytest
 from conftest import (brute_hidden_mean, brute_nll, brute_visible_probs,
                       random_model, random_spins, stats_at)
 from spinrbm.data import Dataset
-from spinrbm.metrics import energy_coefficient, recon_error, reconstruct
+from spinrbm.metrics import energy_coefficient, eval_curve, recon_error, reconstruct
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
-                           exact_visible_marginal, nll_gradient, visible_field)
+                           exact_visible_marginal, nll_gradient)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_hidden, sample_visible
 
 
@@ -16,25 +16,15 @@ def tiny(n_v=3, n_h=2, seed=0, **kw):
     return random_model(np.random.default_rng(seed), n_v, n_h, **kw)
 
 
-class TestFields:
-    def test_visible_field_decoupled(self):
-        b = np.array([0.3, -0.2])
-        m = RbmModel(W=np.zeros((2, 3)), b=b, stats=stats_at(np.zeros(2)))
-        assert visible_field(m, [1, -1, 1]) == pytest.approx(b)
-
-    def test_visible_field_linearity(self, rng):
-        m = random_model(rng, 4, 3)
-        h = random_spins(rng, 3)
-        f_plus = visible_field(m, h)
-        f_minus = visible_field(m, -h)
-        assert f_plus + f_minus == pytest.approx(2 * m.b)
-
-    def test_visible_field_matches_matvec(self, rng):
-        m = random_model(rng, 3, 2)
-        h = random_spins(rng, 2)
-        expected = [m.b[j] + sum(m.W[j, i] * h[i] for i in range(2))
-                    for j in range(3)]
-        assert visible_field(m, h) == pytest.approx(expected)
+def test_reconstruct_matches_loop_reference(rng):
+    """tanh(b_j + sum_i W_ji h_i) over the h that sample_hidden draws from
+    the same key."""
+    m = random_model(rng, 5, 3, centered=False)
+    v = random_spins(rng, (4, 5))
+    h = sample_hidden(m, v, make_rng(7))
+    expected = [[np.tanh(m.b[j] + sum(m.W[j, i] * h[r, i] for i in range(3)))
+                 for j in range(5)] for r in range(4)]
+    assert np.abs(reconstruct(m, v, make_rng(7)) - expected).max() < 1e-12
 
 
 class TestHiddenMean:
@@ -188,12 +178,6 @@ class TestGradient:
             assert np.abs(g.d_b - (b_m - b_d)).max() < 1e-12
             assert np.abs(g.d_W - (W_m - W_d)).max() < 1e-12
 
-    def test_empty_batch_rejected(self, rng):
-        m = random_model(rng, 4, 2)
-        with pytest.raises(ValueError):
-            nll_gradient(m, np.empty((0, 4), dtype=np.int8),
-                         np.ones((1, 4), dtype=np.int8))
-
     @pytest.mark.parametrize("seed", range(3))
     def test_finite_difference(self, seed):
         gen = np.random.default_rng(seed)
@@ -234,11 +218,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             RbmModel(W=W, b=np.zeros(2), stats=stats_at(np.zeros(2)))
 
-    def test_spin_validation(self):
-        m = tiny()
-        with pytest.raises(ValueError, match="exactly -1 or \\+1"):
-            visible_field(m, [1, 0])
-
     def test_float32_weights_cached_per_model(self, rng):
         m = random_model(rng, 5, 3)
         assert m.W32.dtype == np.float32
@@ -250,38 +229,43 @@ class TestModelValidation:
 
 
 # Every public function that takes spins, with the bad input x in one spin
-# argument, and the width that argument must have (None: any width, but one
-# width for all rows).  Model: n_v = 3, n_h = 2.
+# argument, the name of that argument, and the width it must have (None:
+# any width, but one width for all rows).  Model: n_v = 3, n_h = 2.
 _M = tiny(3, 2)
 _V = np.ones((2, 3), dtype=np.int8)
 _SPIN_ARGUMENTS = [
-    ("sample_hidden", 3, lambda x: sample_hidden(_M, x, make_rng(0))),
-    ("sample_visible", 2, lambda x: sample_visible(_M, x, make_rng(0))),
-    ("gibbs_steps", 3, lambda x: gibbs_steps(_M, x, 1, make_rng(0))),
-    ("nll_gradient_data", 3, lambda x: nll_gradient(_M, x, _V)),
-    ("nll_gradient_model", 3, lambda x: nll_gradient(_M, _V, x)),
-    ("exact_nll", 3, lambda x: exact_nll(_M, x)),
-    ("exact_nll_gradient", 3, lambda x: exact_nll_gradient(_M, x)),
-    ("visible_field", 2, lambda x: visible_field(_M, x)),
-    ("energy_coefficient_x", 3, lambda x: energy_coefficient(x, _V)),
-    ("energy_coefficient_y", 3, lambda x: energy_coefficient(_V, x)),
-    ("recon_error", 3, lambda x: recon_error(_M, x, make_rng(0))),
-    ("reconstruct", 3, lambda x: reconstruct(_M, x, make_rng(0))),
-    ("Dataset", None, lambda x: Dataset(spins=x)),
+    ("sample_hidden", "v", 3, lambda x: sample_hidden(_M, x, make_rng(0))),
+    ("sample_visible", "h", 2, lambda x: sample_visible(_M, x, make_rng(0))),
+    ("gibbs_steps", "v0", 3, lambda x: gibbs_steps(_M, x, 1, make_rng(0))),
+    ("nll_gradient_data", "data_batch", 3, lambda x: nll_gradient(_M, x, _V)),
+    ("nll_gradient_model", "model_batch", 3, lambda x: nll_gradient(_M, _V, x)),
+    ("exact_nll", "dataset", 3, lambda x: exact_nll(_M, x)),
+    ("exact_nll_gradient", "data_batch", 3, lambda x: exact_nll_gradient(_M, x)),
+    ("energy_coefficient_x", "x", 3, lambda x: energy_coefficient(x, _V)),
+    ("energy_coefficient_y", "y", 3, lambda x: energy_coefficient(_V, x)),
+    ("recon_error", "batch", 3, lambda x: recon_error(_M, x, make_rng(0))),
+    ("reconstruct", "v", 3, lambda x: reconstruct(_M, x, make_rng(0))),
+    ("eval_curve", "spins", 3, lambda x: list(eval_curve(_M, x, 2, [0], 0))),
+    ("Dataset", "spins", None, lambda x: Dataset(spins=x)),
 ]
 
 
-@pytest.mark.parametrize("width, call", [
-    pytest.param(width, call, id=name) for name, width, call in _SPIN_ARGUMENTS])
-def test_spin_arguments_rejected_at_the_boundary(width, call):
+@pytest.mark.parametrize("arg, width, call", [
+    pytest.param(arg, width, call, id=name)
+    for name, arg, width, call in _SPIN_ARGUMENTS])
+def test_spin_arguments_rejected_at_the_boundary(arg, width, call):
     n = width or 3
     zero = np.ones((2, n), dtype=np.int8)
     zero[1, 0] = 0
-    with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+    with pytest.raises(ValueError, match=f"^{arg}: entries must be exactly -1 or \\+1"):
         call(zero)
     wrong_width = (np.ones((2, width + 1), dtype=np.int8) if width
                    else [[1, -1, 1], [1, -1]])  # rows of unequal width
     with pytest.raises(ValueError):
         call(wrong_width)
-    with pytest.raises(ValueError, match="scalar"):
+    with pytest.raises(ValueError, match=f"^{arg}: .*scalar"):
         call(1)
+    with pytest.raises(ValueError, match=f"^{arg}: empty batch"):
+        call(np.ones((0, n), dtype=np.int8))
+    with pytest.raises(ValueError, match=f"^{arg}: expected a vector or a matrix"):
+        call(np.ones((2, 1, n), dtype=np.int8))
