@@ -1,7 +1,7 @@
 """Spin (+/-1) restricted Boltzmann machines trained with zero-step
 contrastive divergence, with a belief-generation negative phase."""
 
-from .data import DataStats, Dataset, binarize, compute_stats, load_idx, minibatches
+from .data import DataStats, binarize, compute_stats, load_idx, minibatches
 from .metrics import MetricsRecord, energy_coefficient, eval_curve, recon_error
 from .model import (GradientPair, RbmModel, exact_nll, exact_nll_gradient,
                     nll_gradient)

@@ -177,11 +177,11 @@ def cmd_train(args):
     config = TrainConfig(**{
         f.name: getattr(args, _TRAIN_FLAGS.get(f.name, f.name))
         for f in fields(TrainConfig)})
-    dataset, img_path = _load_dataset(args.data, config.binarize_threshold,
-                                      subset=args.subset)
+    spins, img_path = _load_dataset(args.data, config.binarize_threshold,
+                                    subset=args.subset)
     # size and initial-weight errors end the run before --out exists
-    stats = compute_stats(dataset)
-    holdout_size(dataset.n, config)
+    stats = compute_stats(spins)
+    holdout_size(len(spins), config)
     try:
         model = init_model(stats, config)
     except ValueError as exc:
@@ -212,7 +212,7 @@ def cmd_train(args):
               f"  recon_error {record.recon_error:.4f}  {record.wall_ms} ms")
 
     try:
-        model, metrics = train(dataset, model, config, on_epoch=on_epoch)
+        model, metrics = train(spins, model, config, on_epoch=on_epoch)
     except TrainingDiverged as exc:
         # keep the last in-range model so the run is inspectable
         save_checkpoint(exc.model, config, checkpoint_path)
@@ -250,12 +250,12 @@ def cmd_sample(args):
 def cmd_reconstruct(args):
     """originals vs one-step reconstructions"""
     model, config = load_checkpoint(args.checkpoint)
-    dataset, _ = _load_dataset(args.data, config.binarize_threshold)
-    _check_count(args.count, dataset.n)
+    spins, _ = _load_dataset(args.data, config.binarize_threshold)
+    _check_count(args.count, len(spins))
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5B)
-    idx = rng.choice(dataset.n, size=args.count, replace=False)
-    originals = dataset.spins[idx]
+    idx = rng.choice(len(spins), size=args.count, replace=False)
+    originals = spins[idx]
     v_hat = reconstruct(model, originals, rng)
     recon = spins_from_mask(v_hat >= 0)
     tiles = spins_to_gray(originals, side) + spins_to_gray(recon, side)
@@ -268,11 +268,11 @@ def cmd_reconstruct(args):
 def cmd_eval(args):
     """reconstruction error vs Gibbs steps"""
     model, config = load_checkpoint(args.checkpoint)
-    dataset, _ = _load_dataset(args.data, config.binarize_threshold)
+    spins, _ = _load_dataset(args.data, config.binarize_threshold)
     steps = _parse_steps(args.steps)
     rows = []
-    for k, err, coeff in eval_curve(model, dataset.spins,
-                                    args.batch_size, steps, args.seed):
+    for k, err, coeff in eval_curve(model, spins, args.batch_size, steps,
+                                    args.seed):
         rows.append((k, repr(err), repr(coeff)))
         print(f"step {k:3d}  recon_error {err:.4f}  energy_coefficient {coeff:.4f}")
     _write_csv(args.out, ["step", "recon_error", "energy_coefficient"], rows)
@@ -290,8 +290,6 @@ def cmd_weights(args):
     n_cols = math.isqrt(count)
     n_rows = -(-count // n_cols)
     tiles = rescale_to_gray(model.W[:, cols].T, side)
-    while len(tiles) < n_rows * n_cols:
-        tiles.append(np.full((side, side), 128, dtype=np.uint8))
     write_pgm(args.out, tile_grid(tiles, n_rows, n_cols))
     print(f"wrote {args.out}: {n_rows}x{n_cols} weight tiles")
     return 0

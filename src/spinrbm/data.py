@@ -1,4 +1,6 @@
-"""MNIST-style IDX ingestion, spin binarization, and dataset statistics."""
+"""MNIST-style IDX ingestion, spin binarization, and dataset statistics.
+
+A dataset is an N x n_v int8 array of +/-1 spins, one row per image."""
 
 import gzip
 import math
@@ -21,24 +23,6 @@ _ROWS = 4096
 
 class IdxParseError(ValueError):
     """Malformed IDX file; the message names the path and the fault."""
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Binarized images as spins, N x n_v with entries +/-1."""
-
-    spins: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "spins", check_spins(self.spins, name="spins"))
-
-    @property
-    def n(self):
-        return self.spins.shape[0]
-
-    @property
-    def n_v(self):
-        return self.spins.shape[1]
 
 
 @dataclass(frozen=True)
@@ -111,7 +95,7 @@ def load_idx(path):
 
 
 def binarize(images, threshold=0.5):
-    """Map uint8 pixels to spins: +1 where pixel/255 > threshold, else -1.
+    """Map uint8 images to int8 spin rows: +1 where pixel/255 > threshold.
 
     pixel/255 rises with the pixel: the +1 pixels are those >= one cutoff.
     """
@@ -122,11 +106,13 @@ def binarize(images, threshold=0.5):
         raise ValueError(f"binarize takes uint8 pixels, got {images.dtype}")
     cutoff = int(np.count_nonzero(np.arange(256) / 255.0 <= threshold))
     above = images.reshape(images.shape[0], math.prod(images.shape[1:])) >= cutoff
-    return Dataset(spins=spins_from_mask(above))
+    if above.size == 0:
+        raise ValueError(f"spins: empty batch, shape {above.shape}")
+    return spins_from_mask(above)
 
 
-def compute_stats(dataset):
-    """Column mean mu and covariance sigma of the spins.
+def compute_stats(spins):
+    """Column mean mu and covariance sigma of an N x n_v spin array.
 
     sigma = (1/N) sum (v - mu)(v - mu)^T = G/N - mu mu^T, where the Gram
     G = S^T S of the spins is summed over blocks of _ROWS rows.  A float32
@@ -135,7 +121,7 @@ def compute_stats(dataset):
     is exactly symmetric and does not depend on the row order or the BLAS
     thread count.
     """
-    spins = dataset.spins
+    spins = check_spins(spins, name="spins")
     n, n_v = spins.shape
     if n < 2:
         raise ValueError("need at least 2 samples for covariance statistics")
@@ -149,16 +135,17 @@ def compute_stats(dataset):
     return DataStats(mu=mu, sigma=sigma)
 
 
-def minibatches(dataset, batch_size, seed, epoch):
-    """Yield the epoch's minibatches under a seeded permutation.
+def minibatches(spins, batch_size, seed, epoch):
+    """Yield the epoch's minibatches of rows under a seeded permutation.
 
-    The permutation depends only on (seed, epoch).  The final short batch
-    is kept.
+    Only the row count of spins is read.  The permutation depends only on
+    (seed, epoch).  The final short batch is kept.
     """
+    n = len(spins)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if batch_size > dataset.n:
-        raise ValueError(f"batch_size {batch_size} exceeds dataset size {dataset.n}")
-    order = make_rng(seed, 0x6D696E69, epoch).permutation(dataset.n)
-    for lo in range(0, dataset.n, batch_size):
-        yield dataset.spins[order[lo:lo + batch_size]]
+    if batch_size > n:
+        raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
+    order = make_rng(seed, 0x6D696E69, epoch).permutation(n)
+    for lo in range(0, n, batch_size):
+        yield spins[order[lo:lo + batch_size]]

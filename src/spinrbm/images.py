@@ -33,9 +33,9 @@ def rescale_to_gray(values, side):
 
 def tile_grid(tiles, n_rows, n_cols):
     """Assemble tiles row-major into one image with 1-px padding (value 128)
-    between and around tiles."""
-    if len(tiles) != n_rows * n_cols:
-        raise ValueError(f"{len(tiles)} tiles do not fill a {n_rows}x{n_cols} grid")
+    between and around tiles; cells past the last tile stay at 128."""
+    if len(tiles) > n_rows * n_cols:
+        raise ValueError(f"{len(tiles)} tiles exceed a {n_rows}x{n_cols} grid")
     th, tw = tiles[0].shape
     height = n_rows * th + (n_rows + 1) * PAD
     width = n_cols * tw + (n_cols + 1) * PAD

@@ -81,7 +81,10 @@ def check_float32_range(arr, name):
 def check_spins(arr, n_units=None, name="batch"):
     """Validate a non-empty batch of +/-1 rows, a vector being one row, and
     return it as a 2-D int8 array (copies only if needed)."""
-    arr = np.asarray(arr)
+    try:
+        arr = np.asarray(arr)
+    except ValueError:  # numpy's "inhomogeneous shape" for a ragged list
+        raise ValueError(f"{name}: rows of unequal width") from None
     if arr.ndim == 0:
         raise ValueError(f"{name}: expected an array of spins, got a scalar")
     if arr.ndim > 2:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataStats, Dataset, minibatches
+from .data import DataStats, minibatches
 from .io_util import atomic_write_bytes
 from .metrics import MetricsRecord, energy_coefficient, recon_error
-from .model import RbmModel, nll_gradient
+from .model import RbmModel, check_spins, nll_gradient
 from .sampling import belief_generate, gibbs_steps, make_rng
 
 CHECKPOINT_MAGIC = b"RBM0"
@@ -59,6 +59,9 @@ class TrainConfig:
             raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
+        if not 0 < self.binarize_threshold < 1:  # NaN fails too
+            raise ValueError("binarize_threshold must lie in (0, 1), "
+                             f"got {self.binarize_threshold}")
         make_rng(self.seed)  # rejects a seed outside [0, 2**64)
 
 
@@ -157,15 +160,13 @@ def holdout_size(n, config):
     return n_hold
 
 
-def _split_holdout(dataset, config):
-    """Deterministic held-out fold for metric logging (never trained on)."""
-    n_hold = holdout_size(dataset.n, config)
+def _split_holdout(spins, config):
+    """Deterministic (train, held-out) row split; held-out rows log metrics only."""
+    n_hold = holdout_size(len(spins), config)
     if n_hold == 0:
-        return dataset, dataset.spins  # tiny dataset: log metrics on train data
-    order = make_rng(config.seed, _STREAM_SPLIT).permutation(dataset.n)
-    hold = dataset.spins[order[:n_hold]]
-    train = Dataset(spins=dataset.spins[order[n_hold:]])
-    return train, hold
+        return spins, spins  # tiny dataset: log metrics on train data
+    order = make_rng(config.seed, _STREAM_SPLIT).permutation(len(spins))
+    return spins[order[n_hold:]], spins[order[:n_hold]]
 
 
 def _negative_batch(model, data_batch, config, rng):
@@ -174,20 +175,21 @@ def _negative_batch(model, data_batch, config, rng):
     return gibbs_steps(model, data_batch, config.k, rng)
 
 
-def train(dataset, model, config, on_epoch=None):
-    """Train an RBM from model (as init_model draws it); returns the trained
-    model, which carries the same data statistics, and the metrics history.
+def train(spins, model, config, on_epoch=None):
+    """Train an RBM on spins from model (as init_model draws it); returns the
+    trained model, which carries the same data statistics, and the metrics.
 
     Positive phase from each data minibatch; negative phase from belief
     generation (CD-0) or k Gibbs sweeps off the data batch, per config.
     Metrics are logged on a held-out fold every eval_every epochs.
     ``on_epoch(record)`` is invoked at each logged epoch.
     """
-    if model.W.shape != (dataset.n_v, config.n_hidden):
+    spins = check_spins(spins, name="spins")
+    if model.W.shape != (spins.shape[1], config.n_hidden):
         raise ValueError(f"model W shape {model.W.shape} does not match "
-                         f"(n_v, n_hidden) {(dataset.n_v, config.n_hidden)}")
-    train_set, holdout = _split_holdout(dataset, config)
-    adam = AdamState.zeros(dataset.n_v, config.n_hidden)
+                         f"(n_v, n_hidden) {(spins.shape[1], config.n_hidden)}")
+    train_set, holdout = _split_holdout(spins, config)
+    adam = AdamState.zeros(*model.W.shape)
     metrics = []
     t0 = time.perf_counter()
 

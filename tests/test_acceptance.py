@@ -17,7 +17,7 @@ import pytest
 from conftest import (idx_image_bytes, random_sigma, random_spins, stats_at,
                       synthetic_digits)
 from spinrbm.cli import main
-from spinrbm.data import DataStats, Dataset, binarize, compute_stats, load_idx
+from spinrbm.data import DataStats, binarize, compute_stats, load_idx
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
                            exact_visible_marginal)
@@ -98,7 +98,7 @@ def test_criterion_3_field_law():
     gen = np.random.default_rng(3)
     W = gen.normal(0, 0.5, (6, 3))
     data = random_spins(gen, (400, 6))
-    model = RbmModel(W=W, b=np.zeros(6), stats=compute_stats(Dataset(spins=data)))
+    model = RbmModel(W=W, b=np.zeros(6), stats=compute_stats(data))
     n = 10 ** 5
     phi = sample_phi(model, n, make_rng(30))
     emp = phi.T @ phi / n
@@ -128,12 +128,12 @@ def test_criterion_4_energy_coefficient_calibration():
            f"{elapsed:.1f}s (limit 5s)")
 
 
-def _run_desk(dataset):
+def _run_desk(spins):
     config = TrainConfig(seed=7, eval_every=5, **DESK)
-    model, _ = train(dataset, init_model(compute_stats(dataset), config), config)
-    step0 = recon_error(model, dataset.spins[:1024], make_rng(7, 0x99))
+    model, _ = train(spins, init_model(compute_stats(spins), config), config)
+    step0 = recon_error(model, spins[:1024], make_rng(7, 0x99))
     curve = [(k, err) for k, err, _ in
-             eval_curve(model, dataset.spins, 1024, EVAL_STEPS, 7)]
+             eval_curve(model, spins, 1024, EVAL_STEPS, 7)]
     return step0, curve
 
 
@@ -155,8 +155,7 @@ def test_criterion_5_desk_scale_mnist():
     else:
         pytest.fail(f"no MNIST image file in {mnist_dir}")
     t0 = time.perf_counter()
-    dataset = binarize(images[:DESK_SUBSET])
-    step0, curve = _run_desk(dataset)
+    step0, curve = _run_desk(binarize(images[:DESK_SUBSET]))
     monotone, values = _check_curve(curve)
     elapsed = time.perf_counter() - t0
     report(5, step0 < 0.32 and monotone and elapsed < 900,
@@ -171,8 +170,7 @@ def test_desk_scale_surrogate_synthetic():
     MNIST."""
     gen = np.random.default_rng(55)
     images, _ = synthetic_digits(gen, DESK_SUBSET)
-    dataset = binarize(images)
-    step0, curve = _run_desk(dataset)
+    step0, curve = _run_desk(binarize(images))
     monotone, values = _check_curve(curve)
     print(f"\nsurrogate desk run: step-0 recon error {step0:.4f}, "
           f"curve {['%.3f' % v for v in values]}")

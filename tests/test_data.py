@@ -11,8 +11,8 @@ import pytest
 
 import spinrbm
 from conftest import idx_image_bytes
-from spinrbm.data import (_ROWS, DataStats, Dataset, IdxParseError, binarize,
-                          compute_stats, load_idx, minibatches)
+from spinrbm.data import (_ROWS, DataStats, IdxParseError, binarize, compute_stats,
+                          load_idx, minibatches)
 
 
 def biased_spins(rng, n, n_v):
@@ -84,27 +84,26 @@ class TestLoadIdx:
 
 class TestBinarize:
     def test_all_zero(self):
-        ds = binarize(np.zeros((2, 2, 2), dtype=np.uint8))
-        assert np.all(ds.spins == -1)
+        spins = binarize(np.zeros((2, 2, 2), dtype=np.uint8))
+        assert spins.dtype == np.int8 and spins.shape == (2, 4)
+        assert np.all(spins == -1)
 
     def test_all_max(self):
-        ds = binarize(np.full((2, 2, 2), 255, dtype=np.uint8))
-        assert np.all(ds.spins == 1)
+        assert np.all(binarize(np.full((2, 2, 2), 255, dtype=np.uint8)) == 1)
 
     def test_midpoint_pixel(self):
         # 128/255 ~ 0.502 > 0.5 -> +1; 127/255 < 0.5 -> -1
-        ds = binarize(np.array([[[128, 127]]], dtype=np.uint8))
-        assert ds.spins.tolist() == [[1, -1]]
+        assert binarize(np.array([[[128, 127]]], dtype=np.uint8)).tolist() == [[1, -1]]
 
     def test_threshold_flag(self):
-        ds = binarize(np.array([[[128]]], dtype=np.uint8), threshold=0.9)
-        assert ds.spins.tolist() == [[-1]]
+        spins = binarize(np.array([[[128]]], dtype=np.uint8), threshold=0.9)
+        assert spins.tolist() == [[-1]]
 
     def test_idempotent_roundtrip(self, rng):
         images = rng.integers(0, 256, (5, 3, 3)).astype(np.uint8)
-        ds = binarize(images)
-        back = ((ds.spins.astype(int) + 1) // 2 * 255).astype(np.uint8).reshape(5, 3, 3)
-        assert np.array_equal(binarize(back).spins, ds.spins)
+        spins = binarize(images)
+        back = ((spins.astype(int) + 1) // 2 * 255).astype(np.uint8).reshape(5, 3, 3)
+        assert np.array_equal(binarize(back), spins)
 
     def test_no_images_rejected(self):
         with pytest.raises(ValueError, match="spins: empty batch"):
@@ -120,7 +119,7 @@ class TestBinarize:
         images = rng.integers(0, 256, (2 * _ROWS + 3, 2, 128)).astype(np.uint8)
         images[0] = np.arange(256).reshape(2, 128)
         ref = np.where(images.reshape(len(images), -1) / 255.0 > threshold, 1, -1)
-        spins = binarize(images, threshold).spins
+        spins = binarize(images, threshold)
         assert spins.dtype == np.int8
         assert np.array_equal(spins, ref)
 
@@ -133,37 +132,34 @@ class TestBinarize:
 
 class TestComputeStats:
     def test_constant_dataset(self):
-        ds = Dataset(spins=np.ones((5, 3), dtype=np.int8))
-        stats = compute_stats(ds)
+        stats = compute_stats(np.ones((5, 3), dtype=np.int8))
         assert np.array_equal(stats.sigma, np.zeros((3, 3)))
         assert stats.mu == pytest.approx([1, 1, 1])
 
     def test_two_point_hand_case(self):
-        ds = Dataset(spins=np.array([[1, 1], [-1, -1]], dtype=np.int8))
-        stats = compute_stats(ds)
+        stats = compute_stats(np.array([[1, 1], [-1, -1]], dtype=np.int8))
         assert stats.mu == pytest.approx([0, 0])
         # both spins always agree: every entry of Sigma is 1, exactly
         assert np.array_equal(stats.sigma, np.ones((2, 2)))
 
     def test_reconstruction(self, rng):
         spins = np.where(rng.random((10, 6)) < 0.5, 1, -1).astype(np.int8)
-        ds = Dataset(spins=spins)
-        stats = compute_stats(ds)
+        stats = compute_stats(spins)
         centered = spins.astype(float) - stats.mu
         sigma = centered.T @ centered / 10
         assert np.abs(stats.sigma - sigma).max() < 1e-10
 
     def test_psd_by_construction(self, rng):
         spins = np.where(rng.random((30, 5)) < 0.3, 1, -1).astype(np.int8)
-        stats = compute_stats(Dataset(spins=spins))
+        stats = compute_stats(spins)
         evals = np.linalg.eigvalsh(stats.sigma)
         assert evals.min() > -1e-12
 
     def test_row_permutation_invariance(self, rng):
         # byte-identical, over more rows than one block
         spins = biased_spins(rng, 2 * _ROWS + 5, 48)
-        a = compute_stats(Dataset(spins=spins))
-        b = compute_stats(Dataset(spins=spins[rng.permutation(len(spins))]))
+        a = compute_stats(spins)
+        b = compute_stats(spins[rng.permutation(len(spins))])
         assert a.mu.tobytes() == b.mu.tobytes()
         assert a.sigma.tobytes() == b.sigma.tobytes()
 
@@ -173,7 +169,7 @@ class TestComputeStats:
         # constant pixels, as on MNIST's border, make Sigma rank-deficient
         spins[:, :n_constant // 2] = 1
         spins[:, 48 - n_constant // 2:] = -1
-        stats = compute_stats(Dataset(spins=spins))
+        stats = compute_stats(spins)
         assert np.linalg.matrix_rank(stats.sigma) == 48 - n_constant
         assert np.array_equal(stats.mu, spins.astype(np.float64).mean(axis=0))
         centered = spins - spins.mean(axis=0)
@@ -188,7 +184,7 @@ class TestComputeStats:
         gram = spins.T.astype(np.int64) @ spins.astype(np.int64)
         mu = spins.sum(axis=0, dtype=np.int64) / len(spins)
         ref = gram / len(spins) - np.outer(mu, mu)
-        sigma = compute_stats(Dataset(spins=spins)).sigma
+        sigma = compute_stats(spins).sigma
         assert sigma.tobytes() == ref.tobytes()
         assert np.array_equal(sigma, sigma.T)
 
@@ -198,11 +194,11 @@ class TestComputeStats:
         script = (
             "import sys\n"
             "import numpy as np\n"
-            "from spinrbm.data import Dataset, compute_stats\n"
+            "from spinrbm.data import compute_stats\n"
             "rng = np.random.default_rng(5)\n"
             "p = rng.uniform(0.05, 0.95, 300)\n"
             f"spins = np.where(rng.random(({_ROWS + 5}, 300)) < p, 1, -1)\n"
-            "stats = compute_stats(Dataset(spins=spins.astype(np.int8)))\n"
+            "stats = compute_stats(spins.astype(np.int8))\n"
             "open(sys.argv[1], 'wb').write(stats.sigma.tobytes())\n")
         src = str(Path(spinrbm.__file__).parent.parent)
         blobs = []
@@ -230,7 +226,7 @@ class TestComputeStats:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            compute_stats(Dataset(spins=np.ones((1, 3), dtype=np.int8)))
+            compute_stats(np.ones((1, 3), dtype=np.int8))
 
 
 class TestDataStats:
@@ -264,38 +260,37 @@ class TestDataStats:
 
 
 class TestMinibatches:
-    def _dataset(self, rng, n=17, n_v=4):
-        spins = np.where(rng.random((n, n_v)) < 0.5, 1, -1).astype(np.int8)
-        return Dataset(spins=spins)
+    def _spins(self, rng, n=17, n_v=4):
+        return np.where(rng.random((n, n_v)) < 0.5, 1, -1).astype(np.int8)
 
     def test_full_batch_is_permutation(self, rng):
-        ds = self._dataset(rng)
-        (batch,) = list(minibatches(ds, ds.n, seed=1, epoch=0))
-        assert sorted(map(tuple, batch)) == sorted(map(tuple, ds.spins))
+        spins = self._spins(rng)
+        (batch,) = list(minibatches(spins, len(spins), seed=1, epoch=0))
+        assert sorted(map(tuple, batch)) == sorted(map(tuple, spins))
 
     def test_partition_property(self, rng):
-        ds = self._dataset(rng)
-        seen = [tuple(row) for b in minibatches(ds, 5, seed=1, epoch=2) for row in b]
-        assert len(seen) == ds.n
-        assert sorted(seen) == sorted(map(tuple, ds.spins))
+        spins = self._spins(rng)
+        seen = [tuple(row) for b in minibatches(spins, 5, seed=1, epoch=2) for row in b]
+        assert len(seen) == len(spins)
+        assert sorted(seen) == sorted(map(tuple, spins))
 
     def test_short_final_batch_kept(self, rng):
-        ds = self._dataset(rng, n=10)
-        sizes = [len(b) for b in minibatches(ds, 4, seed=0, epoch=0)]
+        spins = self._spins(rng, n=10)
+        sizes = [len(b) for b in minibatches(spins, 4, seed=0, epoch=0)]
         assert sizes == [4, 4, 2]
 
     def test_determinism(self, rng):
-        ds = self._dataset(rng)
-        a = [b.copy() for b in minibatches(ds, 5, seed=3, epoch=1)]
-        b = [c.copy() for c in minibatches(ds, 5, seed=3, epoch=1)]
+        spins = self._spins(rng)
+        a = [b.copy() for b in minibatches(spins, 5, seed=3, epoch=1)]
+        b = [c.copy() for c in minibatches(spins, 5, seed=3, epoch=1)]
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_epoch_changes_order(self, rng):
-        ds = self._dataset(rng, n=50)
-        a = next(iter(minibatches(ds, 50, seed=3, epoch=1)))
-        b = next(iter(minibatches(ds, 50, seed=3, epoch=2)))
+        spins = self._spins(rng, n=50)
+        a = next(iter(minibatches(spins, 50, seed=3, epoch=1)))
+        b = next(iter(minibatches(spins, 50, seed=3, epoch=2)))
         assert not np.array_equal(a, b)
 
     def test_zero_batch_size_rejected(self, rng):
         with pytest.raises(ValueError):
-            list(minibatches(self._dataset(rng), 0, seed=0, epoch=0))
+            list(minibatches(self._spins(rng), 0, seed=0, epoch=0))

@@ -30,8 +30,15 @@ def test_tile_grid_geometry():
 
 
 def test_tile_count_mismatch():
-    with pytest.raises(ValueError):
-        tile_grid([np.zeros((2, 2), dtype=np.uint8)] * 3, 2, 2)
+    tiles = [np.zeros((2, 2), dtype=np.uint8)] * 3
+    with pytest.raises(ValueError, match="5 tiles exceed a 2x2 grid"):
+        tile_grid(tiles + tiles[:2], 2, 2)
+    # a short last row: the cell past the last tile stays padding
+    grid = tile_grid(tiles, 2, 2)
+    assert grid.shape == (7, 7)
+    assert np.all(grid[4:6, 4:6] == PAD_VALUE)
+    for y, x in ((1, 1), (1, 4), (4, 1)):
+        assert np.all(grid[y:y + 2, x:x + 2] == 0)
 
 
 def test_pgm_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model, random_spins, stats_at
-from spinrbm.data import Dataset, compute_stats
+from spinrbm.data import compute_stats
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
 from spinrbm.model import RbmModel
 from spinrbm.sampling import gibbs_chain, make_rng
@@ -127,7 +127,7 @@ class TestReconErrorVsSteps:
     def test_single_step_range(self, rng):
         m = random_model(rng, 6, 4)
         spins = random_spins(rng, (50, 6))
-        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
+        m = replace(m, stats=compute_stats(spins))
         out = list(eval_curve(m, spins, 32, [0], 6))
         assert len(out) == 1 and out[0][0] == 0
         assert 0.0 <= out[0][1] <= 1.0
@@ -135,14 +135,14 @@ class TestReconErrorVsSteps:
     def test_steps_must_be_sorted(self, rng):
         m = random_model(rng, 4, 2)
         spins = random_spins(rng, (20, 4))
-        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
+        m = replace(m, stats=compute_stats(spins))
         with pytest.raises(ValueError, match="sorted ascending"):
             list(eval_curve(m, spins, 8, [4, 2], 7))
 
     def test_step_counts_echoed(self, rng):
         m = random_model(rng, 5, 3)
         spins = random_spins(rng, (40, 5))
-        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
+        m = replace(m, stats=compute_stats(spins))
         out = list(eval_curve(m, spins, 16, [0, 2, 8], 8))
         assert [k for k, _, _ in out] == [0, 2, 8]
 
@@ -150,7 +150,7 @@ class TestReconErrorVsSteps:
     def test_batch_size_must_be_positive(self, rng, batch_size):
         m = random_model(rng, 4, 2)
         spins = random_spins(rng, (20, 4))
-        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
+        m = replace(m, stats=compute_stats(spins))
         with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
             list(eval_curve(m, spins, batch_size, [0], 7))
 
@@ -160,7 +160,7 @@ class TestReconErrorVsSteps:
         # chain, from stream 0x5C; the recon error at step k from (0x5D, k)
         m = random_model(rng, 6, 4)
         spins = random_spins(rng, (40, 6))
-        m = replace(m, stats=compute_stats(Dataset(spins=spins)))
+        m = replace(m, stats=compute_stats(spins))
         seed, steps, n = 11, [0, 1, 3], min(batch_size, 40)
         chain_rng = make_rng(seed, 0x5C)
         data = spins[chain_rng.choice(40, size=n, replace=False)]

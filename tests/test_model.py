@@ -5,11 +5,12 @@ import pytest
 
 from conftest import (brute_hidden_mean, brute_nll, brute_visible_probs,
                       random_model, random_spins, stats_at)
-from spinrbm.data import Dataset
+from spinrbm.data import compute_stats
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error, reconstruct
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
                            exact_visible_marginal, nll_gradient)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_hidden, sample_visible
+from spinrbm.training import TrainConfig, train
 
 
 def tiny(n_v=3, n_h=2, seed=0, **kw):
@@ -246,7 +247,8 @@ _SPIN_ARGUMENTS = [
     ("recon_error", "batch", 3, lambda x: recon_error(_M, x, make_rng(0))),
     ("reconstruct", "v", 3, lambda x: reconstruct(_M, x, make_rng(0))),
     ("eval_curve", "spins", 3, lambda x: list(eval_curve(_M, x, 2, [0], 0))),
-    ("Dataset", "spins", None, lambda x: Dataset(spins=x)),
+    ("compute_stats", "spins", None, compute_stats),
+    ("train", "spins", 3, lambda x: train(x, _M, TrainConfig(n_hidden=2))),
 ]
 
 
@@ -259,10 +261,11 @@ def test_spin_arguments_rejected_at_the_boundary(arg, width, call):
     zero[1, 0] = 0
     with pytest.raises(ValueError, match=f"^{arg}: entries must be exactly -1 or \\+1"):
         call(zero)
-    wrong_width = (np.ones((2, width + 1), dtype=np.int8) if width
-                   else [[1, -1, 1], [1, -1]])  # rows of unequal width
-    with pytest.raises(ValueError):
-        call(wrong_width)
+    with pytest.raises(ValueError, match=f"^{arg}: rows of unequal width"):
+        call([[1, -1, 1], [1, -1]])
+    if width:
+        with pytest.raises(ValueError):
+            call(np.ones((2, width + 1), dtype=np.int8))
     with pytest.raises(ValueError, match=f"^{arg}: .*scalar"):
         call(1)
     with pytest.raises(ValueError, match=f"^{arg}: empty batch"):

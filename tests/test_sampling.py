@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_visible_probs, random_model, random_spins, stats_at
-from spinrbm.data import DataStats, Dataset, compute_stats
+from spinrbm.data import DataStats, compute_stats
 from spinrbm.model import RbmModel
 from spinrbm.sampling import (belief_generate, draw_spins, gibbs_chain,
                               gibbs_steps, make_rng, sample_hidden, sample_phi,
@@ -17,7 +17,7 @@ N_MC = 10 ** 6
 def with_data_stats(model, rng, n=200):
     """model carrying the statistics of n random spin rows."""
     data = random_spins(rng, (n, model.n_v))
-    return replace(model, stats=compute_stats(Dataset(spins=data)))
+    return replace(model, stats=compute_stats(data))
 
 
 class TestDrawSpins:
@@ -220,7 +220,7 @@ class TestSamplePhi:
         gen = np.random.default_rng(21)
         m = random_model(gen, 6, 5)
         patterns = random_spins(gen, (3, 6))
-        stats = compute_stats(Dataset(spins=patterns[gen.integers(0, 3, 300)]))
+        stats = compute_stats(patterns[gen.integers(0, 3, 300)])
         m = replace(m, stats=stats)
         assert np.linalg.matrix_rank(stats.sigma) == 2
         target = m.W.T @ stats.sigma @ m.W
@@ -272,7 +272,7 @@ class TestBeliefGenerate:
         n_v, n_h = 6, 3
         W = np.full((n_v, n_h), 0.8)
         data = np.vstack([np.ones((50, n_v)), -np.ones((50, n_v))]).astype(np.int8)
-        stats = compute_stats(Dataset(spins=data))
+        stats = compute_stats(data)
         m = RbmModel(W=W, b=np.zeros(n_v), stats=stats)
         gen = make_rng(16)
         v = gibbs_steps(m, belief_generate(m, 400, gen), 8, gen)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (random_model, random_sigma, random_spins, stats_at,
                       with_config)
-from spinrbm.data import DataStats, Dataset, compute_stats
+from spinrbm.data import DataStats, compute_stats
 from spinrbm.model import GradientPair, RbmModel, exact_nll, exact_nll_gradient
 from spinrbm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                               TrainConfig, adam_step, init_model,
@@ -20,17 +20,16 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
-def pattern_dataset(n_v=8, copies=40):
+def pattern_spins(n_v=8, copies=40):
     a = np.ones(n_v, dtype=np.int8)
     b = -np.ones(n_v, dtype=np.int8)
     b[: n_v // 2] = 1
-    spins = np.vstack([np.tile(a, (copies, 1)), np.tile(b, (copies, 1))])
-    return Dataset(spins=spins)
+    return np.vstack([np.tile(a, (copies, 1)), np.tile(b, (copies, 1))])
 
 
-def fit(dataset, config):
-    """train from the initial model of config on the dataset's statistics."""
-    return train(dataset, init_model(compute_stats(dataset), config), config)
+def fit(spins, config):
+    """train from the initial model of config on the statistics of spins."""
+    return train(spins, init_model(compute_stats(spins), config), config)
 
 
 class TestInitModel:
@@ -126,7 +125,7 @@ class TestAdam:
 
 class TestTrain:
     def test_zero_epochs_noop(self):
-        ds = pattern_dataset()
+        ds = pattern_spins()
         config = small_config(epochs=0)
         start = init_model(compute_stats(ds), config)
         model, metrics = train(ds, start, config)
@@ -134,13 +133,13 @@ class TestTrain:
         assert metrics == []
 
     def test_model_shape_must_match_data_and_config(self):
-        ds = pattern_dataset()
+        ds = pattern_spins()
         start = init_model(compute_stats(ds), small_config(n_hidden=3))
         with pytest.raises(ValueError, match=r"\(8, 3\).*\(8, 4\)"):
             train(ds, start, small_config(n_hidden=4))
 
     def test_determinism(self):
-        ds = pattern_dataset()
+        ds = pattern_spins()
         config = small_config(epochs=3, seed=11)
         m1, r1 = fit(ds, config)
         m2, r2 = fit(ds, config)
@@ -150,7 +149,7 @@ class TestTrain:
     def test_stats_stay_float64_through_training_and_checkpoint(self, tmp_path):
         # the sampler works on a float32 copy of sigma; sigma itself stays
         # float64, in memory and in the checkpoint
-        ds = pattern_dataset()
+        ds = pattern_spins()
         stats = compute_stats(ds)
         sigma = stats.sigma.copy()
         config = small_config(epochs=2)
@@ -165,7 +164,7 @@ class TestTrain:
                 and s2.sigma.tobytes() == sigma.tobytes())
 
     def test_mu_never_trained(self):
-        ds = pattern_dataset()
+        ds = pattern_spins()
         stats = compute_stats(ds)
         config = small_config(epochs=3)
         model, _ = train(ds, init_model(stats, config), config)
@@ -173,28 +172,28 @@ class TestTrain:
 
     def test_data_pattern_energy_decreases(self):
         # free energy of the two data patterns drops from init to trained
-        ds = pattern_dataset(n_v=8)
+        ds = pattern_spins(n_v=8)
         config = small_config(n_hidden=4, epochs=200, batch_size=16,
                               learning_rate=1e-2, seed=3)
         init = init_model(compute_stats(ds), config)
         trained, _ = train(ds, init, config)
-        patterns = Dataset(spins=np.unique(ds.spins, axis=0))
-        assert exact_nll(trained, patterns.spins) < exact_nll(init, patterns.spins)
+        patterns = np.unique(ds, axis=0)
+        assert exact_nll(trained, patterns) < exact_nll(init, patterns)
 
     def test_metrics_cadence(self):
-        ds = pattern_dataset()
+        ds = pattern_spins()
         _, metrics = fit(ds, small_config(epochs=6, eval_every=2))
         assert [m.epoch for m in metrics] == [2, 4, 6]
 
     def test_cd_k_mode_runs(self):
-        ds = pattern_dataset()
+        ds = pattern_spins()
         config = small_config(epochs=2, negative_mode="cd_k_from_data", k=2)
         model, metrics = fit(ds, config)
         assert np.all(np.isfinite(model.W)) and metrics
 
     def test_batch_larger_than_training_split_rejected(self):
         # 80 rows less an 8-row held-out fold leave 72 for training
-        ds = pattern_dataset()
+        ds = pattern_spins()
         with pytest.raises(ValueError, match="holds 72 rows.*batch_size 75"):
             fit(ds, small_config(batch_size=75))
 
@@ -312,6 +311,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="ck.rbm: checksum mismatch"):
             load_checkpoint(path)
 
+    def test_threshold_out_of_range_rejected(self, rng, tmp_path):
+        model, config = self._random_state(rng)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, config, path)
+        path.write_bytes(with_config(path.read_bytes(), config,
+                                     {**config.__dict__, "binarize_threshold": 7}))
+        with pytest.raises(ValueError,
+                           match=r"ck.rbm: binarize_threshold must lie in \(0, 1\)"):
+            load_checkpoint(path)
+
     def test_unknown_config_key_rejected(self, rng, tmp_path):
         model, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
@@ -350,3 +359,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k must be >= 0"):
             small_config(k=-1)
         assert small_config(k=0).k == 0
+
+    @pytest.mark.parametrize("value", [-3, 0, 1, 2.5, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=r"binarize_threshold must lie in \(0, 1\)"):
+            small_config(binarize_threshold=value)
+        assert small_config(binarize_threshold=0.99).binarize_threshold == 0.99
