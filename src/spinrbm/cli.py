@@ -174,9 +174,15 @@ def cmd_train(args):
     """train a model from IDX data"""
     if args.subset < 0:
         raise CliError(f"--subset must be >= 0 (0 = all), got {args.subset}")
-    config = TrainConfig(**{
-        f.name: getattr(args, _TRAIN_FLAGS.get(f.name, f.name))
-        for f in fields(TrainConfig)})
+    try:
+        config = TrainConfig(**{
+            f.name: getattr(args, _TRAIN_FLAGS.get(f.name, f.name))
+            for f in fields(TrainConfig)})
+    except ValueError as exc:
+        # the error begins with the TrainConfig field: name its flag instead
+        field, _, reason = str(exc).partition(" ")
+        flag = _TRAIN_FLAGS.get(field, field).replace("_", "-")
+        raise CliError(f"--{flag} {reason}") from None
     spins, img_path = _load_dataset(args.data, config.binarize_threshold,
                                     subset=args.subset)
     # size and initial-weight errors end the run before --out exists

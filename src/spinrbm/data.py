@@ -101,7 +101,12 @@ def binarize(images, threshold=0.5):
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    images = np.asarray(images)
+    try:
+        images = np.asarray(images)
+    except ValueError:  # numpy's "inhomogeneous shape" for a ragged list
+        raise ValueError("images: entries of unequal shape") from None
+    if images.ndim == 0:
+        raise ValueError("images: expected an array of images, got a scalar")
     if images.dtype != np.uint8:
         raise ValueError(f"binarize takes uint8 pixels, got {images.dtype}")
     cutoff = int(np.count_nonzero(np.arange(256) / 255.0 <= threshold))

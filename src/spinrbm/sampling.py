@@ -6,8 +6,11 @@ distinct (seed, stream...) keys give independent streams.
 
 The samplers compute in float32 from start to finish: their output is
 spins, and float32 moves each spin probability by rounding only (~6e-8).
-The gradient, the optimizer, the metrics and the exact oracles in model.py
-stay float64.
+draw_spins casts any field to float32, and one function raises each
+"... overflows float32" error of a field or of W^T Sigma W.  The gradient,
+the optimizer, the metrics and the exact oracles in model.py stay float64.
+sample_phi needs the model's sigma to be a covariance (positive
+semidefinite), and raises when W^T Sigma W shows it is not.
 """
 
 import numpy as np
@@ -18,28 +21,24 @@ from .model import check_spins, spins_from_mask
 def draw_spins(phi, u):
     """Sample +/-1 spins from independent logistic conditionals.
 
-    phi : array of local fields; float32 stays float32, any other dtype is
-          taken as float64.
+    phi : array of local fields, cast to float32; a field beyond float32
+          range saturates to +/-inf and draws +/-1.
     u   : array of the same shape, uniform variates in [0, 1).
 
     Returns an int8 array: +1 where u < sigma(2*phi), else -1.  The factor
     of 2 comes from P(s=+1)/P(s=-1) = exp(2*phi) for +/-1 units.
-    sigma(2*phi) is computed in the dtype of phi and compared with u as
-    given: a float64 u against a float32 phi is compared in float64, with
-    the float32 probability widened exactly.
+    sigma(2*phi) is computed in float32 and compared with u as given: a
+    float64 u is compared in float64, with the probability widened exactly.
     """
-    phi = np.asarray(phi)
-    if phi.dtype != np.float32:
-        phi = phi.astype(np.float64, copy=False)
     u = np.asarray(u)
-    if phi.shape != u.shape:
-        raise ValueError(f"shape mismatch: phi {phi.shape} vs u {u.shape}")
     # sigma(2 phi) = 1 / (1 + exp(-2 phi)), computed in one buffer; exp
-    # overflows to inf for phi below -44 (float32) or -354 (float64), and
-    # -2 phi for |phi| beyond half the float range, which gives the correct
-    # limits p = 0 and p = 1
+    # overflows to inf for phi below -44, and -2 phi for |phi| beyond 1.7e38,
+    # which gives the correct limits p = 0 and p = 1
     with np.errstate(over="ignore"):
-        p_plus = np.multiply(phi, -2.0, out=np.empty(phi.shape, phi.dtype))
+        phi = np.asarray(phi, dtype=np.float32)
+        if phi.shape != u.shape:
+            raise ValueError(f"shape mismatch: phi {phi.shape} vs u {u.shape}")
+        p_plus = np.multiply(phi, -2.0, out=np.empty(phi.shape, np.float32))
         np.exp(p_plus, out=p_plus)
     p_plus += 1.0
     np.divide(1.0, p_plus, out=p_plus)
@@ -70,7 +69,7 @@ def sample_hidden(model, v_batch, rng):
     vc -= model.mu.astype(np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = vc @ model.W32
-    _check_field(phi, "hidden")
+    _check_finite(phi, "hidden field")
     return draw_spins(phi, rng.random(phi.shape, dtype=np.float32))
 
 
@@ -84,14 +83,14 @@ def sample_visible(model, h_batch, rng):
     with np.errstate(over="ignore", invalid="ignore"):
         field = h.astype(np.float32) @ model.W32.T
         field += model.b.astype(np.float32)
-    _check_field(field, "visible")
+    _check_finite(field, "visible field")
     return draw_spins(field, rng.random(field.shape, dtype=np.float32))
 
 
-def _check_field(field, layer):
-    # entries within float32 range can still overflow their sums
-    if not np.all(np.isfinite(field)):
-        raise ValueError(f"{layer} field overflows float32")
+def _check_finite(arr, what):
+    # entries within float32 range can still overflow their sums and products
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} overflows float32")
 
 
 def gibbs_steps(model, v0, k, rng):
@@ -113,17 +112,21 @@ def sample_phi(model, batch, rng):
     the eigendecomposition when C is singular (zero weights, Sigma = 0, or
     n_h > rank Sigma).  Sigma W, C, z and phi are float32; only the
     factoring of C runs in float64, and reads C's lower triangle only.
-    Raises ValueError when C overflows float32.
+    Raises ValueError when C overflows float32, or when the
+    eigendecomposition finds an eigenvalue below -n_v eps32 times the
+    largest (0 if none is positive): float32 rounding moves the eigenvalues
+    of C less than that, so Sigma is no covariance.
     """
-    # entries within float32 range can still overflow the products
     with np.errstate(over="ignore", invalid="ignore"):
         C = (model.W32.T @ (model.stats.sigma32 @ model.W32)).astype(np.float64)
-    if not np.all(np.isfinite(C)):
-        raise ValueError("covariance W^T Sigma W overflows float32")
+    _check_finite(C, "covariance W^T Sigma W")
     try:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         lam, V = np.linalg.eigh(C)
+        if lam[0] < -model.n_v * np.finfo(np.float32).eps * max(lam[-1], 0.0):
+            raise ValueError("sigma is not a covariance: W^T Sigma W has "
+                             f"eigenvalue {lam[0]:.3g}, largest {lam[-1]:.3g}")
         L = V * np.sqrt(np.maximum(lam, 0.0))
     z = rng.standard_normal((batch, model.n_h), dtype=np.float32)
     return z @ L.T.astype(np.float32)

@@ -47,22 +47,25 @@ class TrainConfig:
     eval_batch: int = 1024
 
     def __post_init__(self):
-        if min(self.n_hidden, self.epochs + 1, self.batch_size,
-               self.eval_every, self.eval_batch) < 1:
-            raise ValueError("counts must be >= 1 (epochs >= 0)")
+        # each error begins with the name of its field, for which rbm train
+        # names the flag
+        for name, least in (("n_hidden", 1), ("epochs", 0), ("batch_size", 1),
+                            ("k", 0), ("eval_every", 1), ("eval_batch", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0, "
                              f"got {self.learning_rate}")
         if not 0 <= self.init_std < math.inf:
             raise ValueError(f"init_std must be finite and >= 0, got {self.init_std}")
         if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
+            raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, "
+                             f"got {self.negative_mode!r}")
         if not 0 < self.binarize_threshold < 1:  # NaN fails too
             raise ValueError("binarize_threshold must lie in (0, 1), "
                              f"got {self.binarize_threshold}")
-        make_rng(self.seed)  # rejects a seed outside [0, 2**64)
+        make_rng(self.seed)  # "seed must lie in [0, 2**64), ..."
 
 
 @dataclass

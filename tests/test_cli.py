@@ -128,12 +128,17 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,reason", [
-        ("--init-std", "nan", "init_std must be finite"),
-        ("--threshold", "1.5", "threshold must lie in (0, 1)"),
+        ("--init-std", "nan", "--init-std must be finite"),
+        ("--threshold", "1.5", "--threshold must lie in (0, 1)"),
+        ("--n-hidden", "0", "--n-hidden must be >= 1, got 0"),
+        ("--batch-size", "0", "--batch-size must be >= 1, got 0"),
+        ("--eval-every", "0", "--eval-every must be >= 1, got 0"),
+        ("--epochs", "-1", "--epochs must be >= 0, got -1"),
         ("--subset", "1", "need at least 2 samples"),
         ("--subset", "60", "training split holds 54 rows"),
         ("--init-std", "1e300", "--init-std")],
-        ids=["init_std", "threshold", "subset_1", "subset_60", "init_std_1e300"])
+        ids=["init_std", "threshold", "n_hidden", "batch_size", "eval_every",
+             "epochs", "subset_1", "subset_60", "init_std_1e300"])
     def test_bad_value_leaves_no_output(self, synthetic_idx_dir, tmp_path,
                                         capsys, flag, value, reason):
         out = tmp_path / "run"
@@ -305,6 +310,14 @@ class TestSample:
         out = tmp_path / "o.pgm"
         code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
         assert_error_line(code, capsys, "covariance W^T Sigma W overflows")
+        assert not out.exists()
+
+    def test_checkpoint_with_sigma_that_is_no_covariance_rejected(
+            self, tmp_path, capsys):
+        path = tiny_checkpoint(tmp_path / "ck.rbm", sigma=-np.eye(4))
+        out = tmp_path / "o.pgm"
+        code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
+        assert_error_line(code, capsys, "sigma is not a covariance")
         assert not out.exists()
 
     def test_flipped_byte_error_line(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spinrbm
-from conftest import idx_image_bytes
+from conftest import idx_image_bytes, synthetic_digits
 from spinrbm.data import (_ROWS, DataStats, IdxParseError, binarize, compute_stats,
                           load_idx, minibatches)
 
@@ -122,6 +122,17 @@ class TestBinarize:
         spins = binarize(images, threshold)
         assert spins.dtype == np.int8
         assert np.array_equal(spins, ref)
+
+    def test_ragged_input_names_images(self, rng):
+        # a ragged list, and the (images, labels) pair of synthetic_digits
+        pair = synthetic_digits(rng, 5)
+        for ragged in ([[1, 2, 3], [4, 5]], pair):
+            with pytest.raises(ValueError,
+                               match="^images: entries of unequal shape$"):
+                binarize(ragged)
+        with pytest.raises(ValueError, match="^images: expected an array"):
+            binarize(np.uint8(200))
+        assert np.array_equal(binarize(pair[0]), binarize(list(pair[0])))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64", "int64"])
     def test_rejects_other_dtypes(self, rng, dtype):

@@ -1,12 +1,13 @@
 """Fuzz the CLI's inputs: special floats written into the arrays of a valid
-checkpoint, and mutated or truncated IDX files, must end in well-formed
-outputs (exit 0) or in exactly one ``error:`` line (exit 1), never in a
-traceback or a warning."""
+checkpoint, mutated or truncated IDX files, and train config files of any
+JSON values must end in well-formed outputs (exit 0) or in exactly one
+``error:`` line (exit 1), never in a traceback or a warning."""
 
 import contextlib
 import csv
 import gzip
 import io
+import json
 import math
 import shutil
 import struct
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import (idx_image_bytes, random_model, read_pgm, resealed,
                       synthetic_digits)
-from spinrbm.cli import main
+from spinrbm.cli import OPTIONS, main
 from spinrbm.data import DataStats
 from spinrbm.training import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -178,3 +179,55 @@ def test_idx_truncations_end_cleanly(idx_dir, command, keep):
 @given(keep=st.integers(0, len(GZ) - 1))
 def test_gzip_truncations_end_cleanly(idx_dir, command, keep):
     assert_ends_cleanly(idx_dir, command, GZ[:keep])
+
+
+# any JSON value: scalars of every type, and small arrays and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 1) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=3)
+# values of the right type for each train option, legal but for some seeds
+# and floats, and small enough that no run is long: epochs, n_hidden and
+# batch_size are always drawn, since their defaults make a run of minutes or
+# fail on 20 images; --data and --out are given on the command line, which
+# wins over the file
+TYPED_VALUES = {
+    "epochs": st.integers(0, 1), "n_hidden": st.integers(1, 4),
+    "batch_size": st.integers(1, 6), "eval_batch": st.integers(1, 6),
+    "eval_every": st.integers(1, 2), "k": st.integers(0, 2),
+    "subset": st.integers(0, IDX_COUNT + 1),
+    "seed": st.sampled_from([0, 7, 2**64 - 1, 2**64]),
+    "learning_rate": st.floats(1e-4, 1.0) | st.floats(),
+    "init_std": st.floats(0.0, 1.0) | st.floats(),
+    "threshold": st.floats(0.01, 0.99) | st.floats(),
+    "negative_mode": st.sampled_from(["belief_cd0", "cd_k_from_data", "pcd"]),
+}
+ALWAYS = ("epochs", "n_hidden", "batch_size")
+# a typed config with up to two keys of the train options set to any value
+CONFIGS = st.tuples(
+    st.fixed_dictionaries(
+        {key: TYPED_VALUES[key] for key in ALWAYS},
+        optional={key: TYPED_VALUES[key] for key in TYPED_VALUES
+                  if key not in ALWAYS}),
+    st.dictionaries(st.sampled_from(sorted(OPTIONS["train"])), JSON_VALUES,
+                    max_size=2),
+).map(lambda typed_and_any: {**typed_and_any[0], **typed_and_any[1]})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(config=CONFIGS)
+def test_config_values_end_cleanly(idx_dir, config):
+    conf = idx_dir / "config.json"
+    conf.write_text(json.dumps(config))
+    out = idx_dir / "config.out"
+    shutil.rmtree(out, ignore_errors=True)
+    code, err = run_cli(["train", "--data", str(idx_dir / "images.idx"),
+                         "--out", str(out), "--config", str(conf)])
+    assert code in (0, 1)
+    if code == 0:
+        assert err == ""
+        assert (out / "checkpoint.rbm").is_file()
+    else:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import brute_visible_probs, random_model, random_spins, stats_at
-from spinrbm.data import DataStats, compute_stats
+from conftest import (brute_visible_probs, random_model, random_spins, stats_at,
+                      synthetic_digits)
+from spinrbm.data import DataStats, binarize, compute_stats
 from spinrbm.model import RbmModel
 from spinrbm.sampling import (belief_generate, draw_spins, gibbs_chain,
                               gibbs_steps, make_rng, sample_hidden, sample_phi,
@@ -29,18 +30,28 @@ class TestDrawSpins:
         assert out.tolist() == [[1, -1, 1]]
         assert out.dtype == np.int8
 
-    def test_matches_logistic_reference_exactly(self):
-        # the in-place arithmetic must equal the plain expression bit for
-        # bit, also where exp(-2 phi) overflows (phi = -400) or vanishes
+    def test_float64_field_draws_spins_of_its_float32_cast(self):
+        # the field is worked in float32 whatever its dtype; a field beyond
+        # float32 range saturates to +/-inf without a warning.  Column 4
+        # puts u between the float64 and the float32 probability, where
+        # float64 arithmetic would draw the other spin
         gen = np.random.default_rng(1)
         phi = gen.normal(0, 3, (300, 40))
-        phi[:, :4] = [400.0, -400.0, 0.0, -0.0]
-        u = gen.random(phi.shape)
+        phi[:, :4] = [1e300, -1e300, 400.0, -400.0]
         with np.errstate(over="ignore"):
-            ref = np.where(u < 1 / (1 + np.exp(-2 * phi)), 1, -1)
+            phi32 = phi.astype(np.float32)
+            p32 = (1 / (1 + np.exp(-2 * phi32))).astype(np.float64)
+            p64 = 1 / (1 + np.exp(-2 * phi))
+        u = gen.random(phi.shape)
+        u[:, 4] = np.minimum(p32[:, 4], p64[:, 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = draw_spins(phi, u)
+            assert np.array_equal(out, draw_spins(phi32, u))
         assert out.dtype == np.int8
-        assert np.array_equal(out, ref)
+        assert np.array_equal(out, np.where(u < p32, 1, -1))
+        assert np.any(out != np.where(u < p64, 1, -1))
+        assert np.all(out[:, 0] == 1) and np.all(out[:, 1] == -1)
 
     def test_float32_matches_logistic_reference_exactly(self):
         # float32 fields are worked in float32; exp(-2 phi) overflows below
@@ -233,6 +244,34 @@ class TestSamplePhi:
         emp = phi.T @ phi / n
         var = (np.outer(np.diag(target), np.diag(target)) + target ** 2) / n
         assert np.all(np.abs(emp - target) < 5 * np.sqrt(var) + 1e-12)
+
+    @pytest.mark.parametrize("sigma", [-np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0])],
+                             ids=["negative", "indefinite"])
+    def test_sigma_that_is_no_covariance_rejected(self, rng, sigma):
+        # W^T Sigma W has no Cholesky factor, and its negative eigenvalues
+        # are far beyond float32 rounding
+        m = replace(random_model(rng, 4, 3),
+                    stats=DataStats(mu=np.zeros(4), sigma=sigma))
+        with pytest.raises(ValueError, match="sigma is not a covariance"):
+            sample_phi(m, 10, make_rng(22))
+        with pytest.raises(ValueError, match="sigma is not a covariance"):
+            belief_generate(m, 10, make_rng(22))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_deficient_at_full_width_samples(self, seed):
+        # 3 digit patterns: rank Sigma = 2 < n_h = 16 at n_v = 784, so the
+        # eigendecomposition factors C, whose float32 rounding leaves some
+        # eigenvalues a little below 0; they must pass
+        gen = np.random.default_rng(seed)
+        images, _ = synthetic_digits(gen, 300, n_templates=3, flip=0.0)
+        stats = compute_stats(binarize(images))
+        assert np.linalg.matrix_rank(stats.sigma) == 2
+        m = RbmModel(W=gen.normal(0, 0.1, (784, 16)), b=np.zeros(784), stats=stats)
+        C = m.W32.T @ (stats.sigma32 @ m.W32)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(C.astype(np.float64))
+        phi = sample_phi(m, 200, make_rng(seed))
+        assert phi.shape == (200, 16) and np.all(np.isfinite(phi))
 
     def test_linearity_in_w(self, rng):
         m = with_data_stats(random_model(rng, 4, 2), rng)

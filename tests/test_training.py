@@ -360,6 +360,16 @@ class TestConfigValidation:
             small_config(k=-1)
         assert small_config(k=0).k == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_hidden", 0), ("epochs", -1), ("batch_size", 0), ("k", -1),
+        ("eval_every", 0), ("eval_batch", 0), ("learning_rate", 0.0),
+        ("init_std", -1.0), ("negative_mode", "pcd"),
+        ("binarize_threshold", 2.0), ("seed", -1)])
+    def test_error_begins_with_its_field(self, field, value):
+        # rbm train swaps the field in front of the message for its flag
+        with pytest.raises(ValueError, match=f"^{field} "):
+            small_config(**{field: value})
+
     @pytest.mark.parametrize("value", [-3, 0, 1, 2.5, math.nan])
     def test_threshold_outside_unit_interval_rejected(self, value):
         with pytest.raises(ValueError, match=r"binarize_threshold must lie in \(0, 1\)"):
