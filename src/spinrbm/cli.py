@@ -29,8 +29,8 @@ from .metrics import RECON_ERROR_DEFINITION, eval_curve, reconstruct
 from .model import spins_from_mask
 from .sampling import gibbs_chain, make_rng
 from .training import (NEGATIVE_MODES, TrainConfig, TrainingDiverged,
-                       holdout_size, init_model, load_checkpoint,
-                       save_checkpoint, train)
+                       check_option, holdout_size, init_model,
+                       load_checkpoint, save_checkpoint, train)
 
 # what each preset changes; the option defaults are the paper's settings
 PRESETS = {
@@ -100,21 +100,6 @@ def _parse_steps(text):
     return steps
 
 
-def _option_type(default):
-    """Type of an option's flag and config value: its default's, else str."""
-    return str if default is None else type(default)
-
-
-def _check_config_value(key, value, default):
-    """A config-file value must have the type of the flag it stands for; an
-    integer also passes for a float."""
-    kind = _option_type(default)
-    kinds = (int, float) if kind is float else (kind,)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise CliError(f"config key {key!r} must be a {kinds[-1].__name__}, "
-                       f"got {value!r}")
-
-
 def _check_count(count, rows=None):
     if count < 1:
         raise CliError(f"--count must be >= 1, got {count}")
@@ -137,7 +122,7 @@ def _resolve(args):
             key = key.replace("-", "_")
             if key not in options:
                 raise CliError(f"unknown config key {key!r} for {args.command}")
-            _check_config_value(key, value, options[key])
+            check_option(f"config key {key!r}", value, options[key])
             merged[key] = value
     for key in options:
         if getattr(args, key) is not None:
@@ -314,7 +299,7 @@ def build_parser():
         p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
         for name, default in options.items():
             p.add_argument("--" + name.replace("_", "-"), dest=name,
-                           type=_option_type(default),
+                           type=str if default is None else type(default),
                            choices=_CHOICES.get(name),
                            help="required" if default is None
                            else f"default {default}")

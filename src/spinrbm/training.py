@@ -7,6 +7,7 @@ refinement.  A conventional CD-k-from-data mode is kept as a baseline.
 
 import json
 import math
+import numbers
 import struct
 import time
 import zlib
@@ -31,6 +32,20 @@ _STREAM_NEG = 0xA2
 _STREAM_METRIC = 0xA3
 _STREAM_SPLIT = 0xA4
 
+# the values an option of each default type takes, and its name in errors
+_OPTION_KINDS = {int: (numbers.Integral, "an int"),
+                 float: (numbers.Real, "a float"), str: (str, "a str")}
+
+
+def check_option(name, value, default):
+    """Raise a ValueError that begins with name unless value has the type
+    of the option's default (str where the default is None): an int default
+    takes any integer and a float default any real number, numpy's
+    included, and a bool is never a value."""
+    kind, noun = _OPTION_KINDS[str if default is None else type(default)]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -49,6 +64,8 @@ class TrainConfig:
     def __post_init__(self):
         # each error begins with the name of its field, for which rbm train
         # names the flag
+        for name, field in self.__dataclass_fields__.items():
+            check_option(name, getattr(self, name), field.default)
         for name, least in (("n_hidden", 1), ("epochs", 0), ("batch_size", 1),
                             ("k", 0), ("eval_every", 1), ("eval_batch", 1)):
             if getattr(self, name) < least:
@@ -333,7 +350,4 @@ def _parse_config(blob):
     for key in known:
         if key not in fields:
             raise ValueError(f"missing checkpoint config key {key!r}")
-    try:
-        return TrainConfig(**fields)
-    except TypeError as exc:  # a value of the wrong type
-        raise ValueError(f"bad checkpoint config: {exc}") from exc
+    return TrainConfig(**fields)

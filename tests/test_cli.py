@@ -320,6 +320,27 @@ class TestSample:
         assert_error_line(code, capsys, "sigma is not a covariance")
         assert not out.exists()
 
+    def test_visible_layer_that_is_no_square_image_rejected(self, tmp_path,
+                                                            capsys):
+        model = random_model(np.random.default_rng(0), 10, 3)
+        path = tiny_checkpoint(tmp_path / "ck.rbm", model, sigma=np.eye(10))
+        out = tmp_path / "o.pgm"
+        code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
+        assert_error_line(code, capsys,
+                          "visible layer of 10 units is not a square image")
+        assert not out.exists()
+
+    def test_config_echo_of_wrong_type_rejected(self, tmp_path, capsys):
+        path = tiny_checkpoint(tmp_path / "ck.rbm")
+        config = TrainConfig(n_hidden=3)
+        path.write_bytes(with_config(path.read_bytes(), config,
+                                     {**config.__dict__, "epochs": float("nan")}))
+        out = tmp_path / "o.pgm"
+        code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
+        assert_error_line(code, capsys,
+                          f"{path}: epochs must be an int, got nan")
+        assert not out.exists()
+
     def test_flipped_byte_error_line(self, tmp_path, capsys):
         # magic, version, checksum, n_v, n_h, b, W, mu, sigma, the config
         # length and the config echo
@@ -489,11 +510,13 @@ class TestOptions:
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys,
                                                  command, name):
         default = OPTIONS[command][name]
-        wrong = {int: 1.5, float: "0.5"}.get(type(default), 7)
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({name: wrong}))
-        assert_error_line(main([command, "--config", str(conf)]), capsys,
-                          f"config key {name!r}")
+        noun = {int: "an int", float: "a float"}.get(type(default), "a str")
+        for wrong in ({int: 1.5, float: "0.5"}.get(type(default), 7), True):
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({name: wrong}))
+            assert_error_line(main([command, "--config", str(conf)]), capsys,
+                              f"config key {name!r} must be {noun}, "
+                              f"got {wrong!r}")
 
     @pytest.mark.parametrize("command", ["train", "sample"])
     def test_seed_outside_64_bits_rejected(self, synthetic_idx_dir, tmp_path,

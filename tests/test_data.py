@@ -305,3 +305,8 @@ class TestMinibatches:
     def test_zero_batch_size_rejected(self, rng):
         with pytest.raises(ValueError):
             list(minibatches(self._spins(rng), 0, seed=0, epoch=0))
+
+    def test_batch_larger_than_the_rows_rejected(self, rng):
+        with pytest.raises(ValueError,
+                           match="batch_size 18 exceeds dataset size 17"):
+            list(minibatches(self._spins(rng, n=17), 18, seed=0, epoch=0))

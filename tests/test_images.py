@@ -4,6 +4,7 @@ import pytest
 from conftest import read_pgm
 from spinrbm.images import (PAD_VALUE, rescale_to_gray, spins_to_gray,
                             tile_grid, write_pgm)
+from spinrbm.io_util import atomic_write_bytes
 
 
 def test_spins_to_gray_mapping():
@@ -47,3 +48,19 @@ def test_pgm_roundtrip(tmp_path):
     write_pgm(path, img)
     assert path.read_bytes().startswith(b"P5\n4 3\n255\n")
     assert np.array_equal(read_pgm(path), img)
+
+
+def test_pgm_of_a_vector_rejected(tmp_path):
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match="PGM output requires a 2-D image"):
+        write_pgm(path, np.zeros(12, dtype=np.uint8))
+    assert not path.exists()
+
+
+def test_failed_write_keeps_the_target_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, "not bytes")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.pgm"]

@@ -213,6 +213,11 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="mu shape"):
             RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), stats=stats_at(np.zeros(2)))
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)])
+    def test_weights_that_are_no_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="W must be a matrix, got shape"):
+            RbmModel(W=np.zeros(shape), b=np.zeros(3), stats=stats_at(np.zeros(3)))
+
     def test_non_finite_rejected(self):
         W = np.zeros((2, 2))
         W[0, 0] = np.nan

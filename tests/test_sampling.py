@@ -165,6 +165,11 @@ class TestGibbs:
         out = gibbs_steps(m, v0, 0, make_rng(6))
         assert np.array_equal(out, v0)
 
+    def test_negative_steps_rejected(self, rng):
+        m = random_model(rng, 4, 2)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            gibbs_steps(m, random_spins(rng, (5, 4)), -1, make_rng(6))
+
     def test_determinism(self, rng):
         m = random_model(rng, 4, 2)
         v0 = random_spins(rng, (5, 4))

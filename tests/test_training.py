@@ -1,16 +1,19 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+import spinrbm.training
 from conftest import (random_model, random_sigma, random_spins, stats_at,
                       with_config)
 from spinrbm.data import DataStats, compute_stats
 from spinrbm.model import GradientPair, RbmModel, exact_nll, exact_nll_gradient
 from spinrbm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
-                              TrainConfig, adam_step, init_model,
-                              load_checkpoint, save_checkpoint, train)
+                              TrainConfig, TrainingDiverged, adam_step,
+                              check_option, init_model, load_checkpoint,
+                              save_checkpoint, train)
 
 
 def small_config(**kw):
@@ -197,6 +200,23 @@ class TestTrain:
         with pytest.raises(ValueError, match="holds 72 rows.*batch_size 75"):
             fit(ds, small_config(batch_size=75))
 
+    def test_error_in_logged_evaluation_diverges(self, monkeypatch):
+        # a sampler covariance or field that overflows float32 in the
+        # held-out evaluation ends training, with the metrics logged before
+        real = spinrbm.training._evaluate
+
+        def failing(model, holdout, config, epoch, t0):
+            if epoch == 3:
+                raise ValueError("hidden field overflows float32")
+            return real(model, holdout, config, epoch, t0)
+
+        monkeypatch.setattr(spinrbm.training, "_evaluate", failing)
+        with pytest.raises(TrainingDiverged,
+                           match="epoch 3: hidden field overflows") as exc:
+            fit(pattern_spins(), small_config(epochs=5))
+        assert [m.epoch for m in exc.value.metrics] == [1, 2]
+        assert exc.value.model.W.shape == (8, 4)
+
 
 class TestExactDescent:
     def test_gradient_steps_decrease_exact_nll(self, rng):
@@ -321,6 +341,32 @@ class TestCheckpoint:
                            match=r"ck.rbm: binarize_threshold must lie in \(0, 1\)"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value, noun", [
+        ("epochs", math.nan, "an int"), ("k", math.nan, "an int"),
+        ("eval_batch", 2.5, "an int"), ("seed", True, "an int"),
+        ("seed", 1.5, "an int"), ("epochs", "3", "an int"),
+        ("learning_rate", "0.1", "a float"), ("negative_mode", 1, "a str")])
+    def test_config_value_of_wrong_type_rejected(self, rng, tmp_path, key,
+                                                  value, noun):
+        model, config = self._random_state(rng)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, config, path)
+        path.write_bytes(with_config(path.read_bytes(), config,
+                                     {**config.__dict__, key: value}))
+        with pytest.raises(ValueError,
+                           match=f"ck.rbm: {key} must be {noun}, got"):
+            load_checkpoint(path)
+
+    def test_config_block_that_is_no_object_rejected(self, rng, tmp_path):
+        model, config = self._random_state(rng)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, config, path)
+        path.write_bytes(with_config(path.read_bytes(), config,
+                                     sorted(config.__dict__)))
+        with pytest.raises(ValueError,
+                           match="ck.rbm: checkpoint config is not a JSON object"):
+            load_checkpoint(path)
+
     def test_unknown_config_key_rejected(self, rng, tmp_path):
         model, config = self._random_state(rng)
         path = tmp_path / "ck.rbm"
@@ -369,6 +415,32 @@ class TestConfigValidation:
         # rbm train swaps the field in front of the message for its flag
         with pytest.raises(ValueError, match=f"^{field} "):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value, noun", [
+        ("epochs", math.nan, "an int"), ("eval_batch", 2.5, "an int"),
+        ("seed", True, "an int"), ("n_hidden", "8", "an int"),
+        ("k", np.float64(1.0), "an int"), ("learning_rate", "0.1", "a float"),
+        ("init_std", None, "a float"), ("binarize_threshold", False, "a float"),
+        ("negative_mode", 0, "a str")])
+    def test_value_of_wrong_type_rejected(self, field, value, noun):
+        message = f"{field} must be {noun}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_and_integer_numbers_accepted(self):
+        config = TrainConfig(seed=np.int64(3), n_hidden=np.uint16(8),
+                             learning_rate=1, init_std=np.float32(0.25))
+        assert (config.seed, config.n_hidden) == (3, 8)
+        assert (config.learning_rate, config.init_std) == (1, 0.25)
+
+    @pytest.mark.parametrize("default, good, bad", [
+        (0, -7, 0.0), (0.5, 2, "0.5"), ("x", "", b"x"), (None, "path", 7)])
+    def test_check_option_takes_the_type_of_the_default(self, default, good,
+                                                        bad):
+        check_option("opt", good, default)
+        for value in (bad, True, np.True_):
+            with pytest.raises(ValueError, match="^opt must be "):
+                check_option("opt", value, default)
 
     @pytest.mark.parametrize("value", [-3, 0, 1, 2.5, math.nan])
     def test_threshold_outside_unit_interval_rejected(self, value):
