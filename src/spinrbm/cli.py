@@ -8,10 +8,19 @@ Each option is both a ``--flag`` and a config-file key of the same type
 over the train ``--preset``; ``--preset`` and ``--config`` are
 command-line only.  ``reconstruct`` and ``eval`` binarize their data at
 the threshold recorded in the checkpoint.
+
+``rbm`` runs BLAS on one thread and splits its work over two workers in a
+fixed way (``spinrbm.workers``), so its output bytes depend neither on the
+thread variables nor on the core count, for one BLAS build.  BLAS reads
+the variables when numpy first loads, so they are set before the imports
+below.  Where numpy loaded first (``main`` called from Python), ``main``
+sets an OpenBLAS to one thread for the command's run.
 """
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import io
 import json
 import math
@@ -20,27 +29,33 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
+# environment variables that set the BLAS thread count, as the run found
+# them, and whether rbm set them to 1 before numpy loaded
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_THREAD_ENV = {name: os.environ.get(name) for name in _THREAD_VARS}
+_BLAS_PINNED = "numpy" not in sys.modules
+if _BLAS_PINNED:
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 
-from .data import binarize, compute_stats, load_idx
-from .images import rescale_to_gray, spins_to_gray, tile_grid, write_pgm
-from .io_util import atomic_write_bytes
-from .metrics import RECON_ERROR_DEFINITION, eval_curve, reconstruct
-from .model import spins_from_mask
-from .sampling import gibbs_chain, make_rng
-from .training import (NEGATIVE_MODES, TrainConfig, TrainingDiverged,
-                       check_option, holdout_size, init_model,
-                       load_checkpoint, save_checkpoint, train)
+import numpy as np  # noqa: E402
+
+from .data import binarize, compute_stats, load_idx  # noqa: E402
+from .images import (rescale_to_gray, spins_to_gray, tile_grid,  # noqa: E402
+                     write_pgm)
+from .io_util import atomic_write_bytes  # noqa: E402
+from .metrics import (RECON_ERROR_DEFINITION, eval_curve,  # noqa: E402
+                      reconstruct)
+from .model import spins_from_mask  # noqa: E402
+from .sampling import gibbs_chain, make_rng  # noqa: E402
+from .training import (NEGATIVE_MODES, TrainConfig,  # noqa: E402
+                       TrainingDiverged, check_option, holdout_size,
+                       init_model, load_checkpoint, save_checkpoint, train)
 
 # what each preset changes; the option defaults are the paper's settings
 PRESETS = {
     "paper": {},
     "desk": dict(n_hidden=128, epochs=20, batch_size=256, subset=10000),
 }
-
-# environment variables that set the BLAS thread count, on which the trained
-# bytes depend (README, determinism contract)
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _IMAGE_NAMES = ("train-images-idx3-ubyte", "train-images.idx3-ubyte")
 
@@ -148,11 +163,80 @@ def _image_side(n_v):
 
 
 def _thread_setting():
-    """Cores, CPU affinity and the thread variables the run saw."""
+    """Cores, CPU affinity, the BLAS thread count of the run (None where
+    numpy loaded first and its BLAS is no OpenBLAS) and the thread
+    variables the run found."""
     affinity = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else None)
+    if _BLAS_PINNED:
+        blas_threads = 1
+    else:
+        calls = _openblas_thread_calls()
+        blas_threads = calls[0]() if calls else None
     return {"cpu_count": os.cpu_count(), "affinity_count": affinity,
-            **{name: os.environ.get(name) for name in _THREAD_VARS}}
+            "blas_threads": blas_threads, **_THREAD_ENV}
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS this process has
+    loaded, found among the files it maps (Linux), or None.  numpy's own
+    build prefixes the names with scipy_, 64-bit-integer builds suffix
+    them with 64_."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rpartition("/")[2]})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)  # the loaded library, not a second copy
+        for name in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{name}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread where numpy loaded before rbm could set the
+    thread variables (main called from Python), restoring the count
+    after; an rbm process has set them already."""
+    calls = None if _BLAS_PINNED else _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+# glibc's mallopt parameter that caps the number of malloc arenas
+_M_ARENA_MAX = -8
+
+
+def _one_malloc_arena():
+    """Keep glibc to one malloc arena: by default each thread that
+    allocates gets its own, and the worker thread's arena raised the peak
+    memory of a paper run.  Skipped where libc is not glibc."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if glibc is None or not glibc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def cmd_train(args):
@@ -310,10 +394,12 @@ def build_parser():
 
 
 def main(argv=None):
+    _one_malloc_arena()  # before the worker thread exists
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](_resolve(args))
+        with _one_blas_thread():
+            return _COMMANDS[args.command](_resolve(args))
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

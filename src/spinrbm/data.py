@@ -13,11 +13,12 @@ import numpy as np
 
 from .model import check_float32_range, check_spins, spins_from_mask
 from .sampling import make_rng
+from .workers import split_rows
 
 IDX_MAGIC_IMAGES = 0x00000803
 
-# rows per block in compute_stats: its float32 block holds at most this
-# many rows, never the whole dataset
+# rows per block in compute_stats: each worker's float32 block holds at most
+# this many rows, never the whole dataset
 _ROWS = 4096
 
 
@@ -120,24 +121,34 @@ def compute_stats(spins):
     """Column mean mu and covariance sigma of an N x n_v spin array.
 
     sigma = (1/N) sum (v - mu)(v - mu)^T = G/N - mu mu^T, where the Gram
-    G = S^T S of the spins is summed over blocks of _ROWS rows.  A float32
-    block product holds integers of magnitude <= _ROWS < 2^24, so it is
-    exact, and so is their float64 sum: G is the integer Gram, and sigma
-    is exactly symmetric and does not depend on the row order or the BLAS
+    G = S^T S of the spins is summed over blocks of _ROWS rows, each row
+    half of the spins on one of the two workers.  A float32 block product
+    holds integers of magnitude <= _ROWS < 2^24, so it is exact, and so is
+    their float64 sum: G is the integer Gram, and sigma is exactly
+    symmetric and does not depend on the row order, the split or the BLAS
     thread count.
     """
     spins = check_spins(spins, name="spins")
-    n, n_v = spins.shape
+    n = spins.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples for covariance statistics")
     mu = spins.sum(axis=0, dtype=np.int64) / n
-    sigma = np.zeros((n_v, n_v))
-    for lo in range(0, n, _ROWS):
-        block = spins[lo:lo + _ROWS].astype(np.float32)
-        sigma += block.T @ block
+    sigma, *rest = split_rows(lambda lo, hi: _gram(spins[lo:hi]), n)
+    for gram in rest:
+        sigma += gram
     sigma /= n
     sigma -= np.outer(mu, mu)
     return DataStats(mu=mu, sigma=sigma)
+
+
+def _gram(spins):
+    """The integer Gram S^T S of a spin array, in float64, summed over
+    float32 blocks of at most _ROWS rows."""
+    gram = np.zeros((spins.shape[1],) * 2)
+    for lo in range(0, spins.shape[0], _ROWS):
+        block = spins[lo:lo + _ROWS].astype(np.float32)
+        gram += block.T @ block
+    return gram
 
 
 def minibatches(spins, batch_size, seed, epoch):

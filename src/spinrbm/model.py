@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .workers import split_rows
+
 # exact_nll refuses models beyond this many total units (~16M joint states)
 ENUMERATION_LIMIT = 24
 
@@ -151,17 +153,14 @@ def exact_visible_marginal(model):
     return np.exp(_exact_visible_table(model)[1])
 
 
-def _gradient(model, data_batch, model_rows, model_weights):
-    """Model-phase average (rows weighted by model_weights) minus data-phase
-    average, in one weighted pass: data rows weigh -1/n_d.
+def _moments(model, rows, weights):
+    """Weighted sums over spin rows, the one home of the moment formula:
+    (weights @ v, (v - mu)^T (weights * tanh(W^T (v - mu)))).
 
     Derived from U: dU/db = -(v - mu), dU/dW = -(v - mu) h^T with h
-    marginalized to tanh(W^T (v - mu)).  The returned direction ascends the
-    NLL; the optimizer subtracts it.
+    marginalized to tanh(W^T (v - mu)).
     """
-    n_d = data_batch.shape[0]
-    weights = np.concatenate([np.full(n_d, -1.0 / n_d), model_weights])
-    vc = np.concatenate([data_batch, model_rows]).astype(np.float64)
+    vc = rows.astype(np.float64)
     d_b = weights @ vc
     vc -= model.mu
     t = vc @ model.W
@@ -171,18 +170,42 @@ def _gradient(model, data_batch, model_rows, model_weights):
     return GradientPair(d_b=d_b, d_W=vc.T @ t)
 
 
+def _add_moments(model, grads, rows, weights):
+    """grads plus the moments of rows, its two row halves on the two
+    workers, added in a fixed order."""
+    for part in split_rows(
+            lambda lo, hi: _moments(model, rows[lo:hi], weights[lo:hi]),
+            rows.shape[0]):
+        grads = GradientPair(d_b=grads.d_b + part.d_b,
+                             d_W=grads.d_W + part.d_W)
+    return grads
+
+
+def data_phase(model, data_batch):
+    """The data part of the NLL gradient: minus the data-phase average."""
+    data_batch = check_spins(data_batch, model.n_v, "data_batch")
+    n_d = data_batch.shape[0]
+    return _moments(model, data_batch, np.full(n_d, -1.0 / n_d))
+
+
+def add_model_phase(model, data_part, model_batch):
+    """The stochastic NLL gradient from its data part (data_phase): plus the
+    model-phase average, each model row weighing 1/n_m.  The returned
+    direction ascends the NLL; the optimizer subtracts it."""
+    model_batch = check_spins(model_batch, model.n_v, "model_batch")
+    n_m = model_batch.shape[0]
+    return _add_moments(model, data_part, model_batch, np.full(n_m, 1.0 / n_m))
+
+
 def nll_gradient(model, data_batch, model_batch):
     """Stochastic NLL gradient: model-phase average minus data-phase average,
     each model row weighing 1/n_m."""
-    data_batch = check_spins(data_batch, model.n_v, "data_batch")
-    model_batch = check_spins(model_batch, model.n_v, "model_batch")
-    n_m = model_batch.shape[0]
-    return _gradient(model, data_batch, model_batch, np.full(n_m, 1.0 / n_m))
+    return add_model_phase(model, data_phase(model, data_batch), model_batch)
 
 
 def exact_nll_gradient(model, data_batch):
     """NLL gradient with the model phase computed by exact enumeration
     (weights p(v) over all visible states).  Tiny models only."""
-    data_batch = check_spins(data_batch, model.n_v, "data_batch")
+    data_part = data_phase(model, data_batch)
     V, log_p = _exact_visible_table(model)
-    return _gradient(model, data_batch, V, np.exp(log_p))
+    return _add_moments(model, data_part, V, np.exp(log_p))

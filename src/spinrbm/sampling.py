@@ -15,6 +15,7 @@ semidefinite), and raises when W^T Sigma W shows it is not.
 
 import numpy as np
 
+from . import workers
 from .model import check_spins, spins_from_mask
 
 
@@ -61,14 +62,14 @@ def make_rng(seed, *stream):
 def sample_hidden(model, v_batch, rng):
     """Draw h ~ p(h|v) for each row: h_i = +1 w.p. sigma(2 phi_i).
 
-    The field W^T (v - mu) and the uniforms are float32.  Raises
-    ValueError when the field overflows float32.
+    The field W^T (v - mu) and the uniforms are float32; the field's row
+    halves are formed on the two workers.  Raises ValueError when the field
+    overflows float32.
     """
     v = check_spins(v_batch, model.n_v, "v")
     vc = v.astype(np.float32)
     vc -= model.mu.astype(np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = vc @ model.W32
+    phi = workers.matmul(vc, model.W32)
     _check_finite(phi, "hidden field")
     return draw_spins(phi, rng.random(phi.shape, dtype=np.float32))
 
@@ -76,12 +77,13 @@ def sample_hidden(model, v_batch, rng):
 def sample_visible(model, h_batch, rng):
     """Draw v ~ p(v|h) for each row: v_j = +1 w.p. sigma(2 (b + W h)_j).
 
-    The field b + W h and the uniforms are float32.  Raises ValueError when
-    the field overflows float32.
+    The field b + W h and the uniforms are float32; the row halves of W h
+    are formed on the two workers.  Raises ValueError when the field
+    overflows float32.
     """
     h = check_spins(h_batch, model.n_h, "h")
+    field = workers.matmul(h.astype(np.float32), model.W32.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        field = h.astype(np.float32) @ model.W32.T
         field += model.b.astype(np.float32)
     _check_finite(field, "visible field")
     return draw_spins(field, rng.random(field.shape, dtype=np.float32))

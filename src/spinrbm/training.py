@@ -18,8 +18,9 @@ import numpy as np
 from .data import DataStats, minibatches
 from .io_util import atomic_write_bytes
 from .metrics import MetricsRecord, energy_coefficient, recon_error
-from .model import RbmModel, check_spins, nll_gradient
+from .model import RbmModel, add_model_phase, check_spins, data_phase
 from .sampling import belief_generate, gibbs_steps, make_rng
+from .workers import pair
 
 CHECKPOINT_MAGIC = b"RBM0"
 CHECKPOINT_VERSION = 3
@@ -63,9 +64,17 @@ class TrainConfig:
 
     def __post_init__(self):
         # each error begins with the name of its field, for which rbm train
-        # names the flag
+        # names the flag; a number is stored as a Python int or float, so
+        # the config echo is JSON whatever numeric type came in
         for name, field in self.__dataclass_fields__.items():
-            check_option(name, getattr(self, name), field.default)
+            value = getattr(self, name)
+            check_option(name, value, field.default)
+            kind = type(field.default)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except OverflowError:  # an integer beyond float range
+                raise ValueError(f"{name} must lie within float range, got "
+                                 "a number beyond it") from None
         for name, least in (("n_hidden", 1), ("epochs", 0), ("batch_size", 1),
                             ("k", 0), ("eval_every", 1), ("eval_batch", 1)):
             if getattr(self, name) < least:
@@ -201,6 +210,9 @@ def train(spins, model, config, on_epoch=None):
 
     Positive phase from each data minibatch; negative phase from belief
     generation (CD-0) or k Gibbs sweeps off the data batch, per config.
+    Each step draws its negative batch on the worker thread while the
+    caller forms the data phase, then forms the model phase in two row
+    halves (spinrbm.workers).
     Metrics are logged on a held-out fold every eval_every epochs.
     ``on_epoch(record)`` is invoked at each logged epoch.
     """
@@ -218,8 +230,10 @@ def train(spins, model, config, on_epoch=None):
                                               config.seed, epoch)):
             neg_rng = make_rng(config.seed, _STREAM_NEG, epoch, i)
             try:
-                neg = _negative_batch(model, batch, config, neg_rng)
-                grads = nll_gradient(model, batch, neg)
+                neg, data_part = pair(
+                    lambda: _negative_batch(model, batch, config, neg_rng),
+                    lambda: data_phase(model, batch))
+                grads = add_model_phase(model, data_part, neg)
                 (b, W), adam = adam_step(adam, grads, config.learning_rate,
                                          (model.b, model.W))
                 model = replace(model, b=b, W=W)

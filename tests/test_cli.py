@@ -1,21 +1,34 @@
 import gzip
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinrbm.cli
 import spinrbm.training
 from conftest import (idx_image_bytes, random_model, read_pgm, resealed,
-                      stats_at, with_config, write_synthetic_idx)
-from spinrbm.cli import OPTIONS, main
+                      stats_at, synthetic_digits, with_config,
+                      write_synthetic_idx)
+from spinrbm.cli import OPTIONS, _openblas_thread_calls, main
 from spinrbm.data import DataStats
 from spinrbm.model import GradientPair, RbmModel
 from spinrbm.training import TrainConfig, load_checkpoint, save_checkpoint
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 TRAIN_FLAGS = ["--n-hidden", "32", "--epochs", "2", "--batch-size", "128",
                "--eval-batch", "128"]
+
+
+def _env_with_src():
+    src = str(Path(spinrbm.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": src}
 
 
 def assert_error_line(code, capsys, reason):
@@ -58,10 +71,13 @@ class TestTrain:
     def test_manifest_records_thread_setting(self, trained_run):
         manifest = json.loads((trained_run / "manifest.json").read_text())
         threads = manifest["threads"]
-        assert set(threads) == {"cpu_count", "affinity_count",
+        assert set(threads) == {"cpu_count", "affinity_count", "blas_threads",
                                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                 "MKL_NUM_THREADS"}
         assert threads["cpu_count"] >= 1
+        # this process loaded numpy before spinrbm.cli, so main set numpy's
+        # OpenBLAS to one thread for the run
+        assert threads["blas_threads"] == 1
         assert manifest["numpy_version"] == np.__version__
 
     def test_metrics_header(self, trained_run):
@@ -111,6 +127,18 @@ class TestTrain:
         conf.write_text(json.dumps({"epochs": "3"}))
         assert_error_line(main(["train", "--config", str(conf)]), capsys,
                           "'epochs'")
+
+    def test_integer_beyond_float_range_leaves_no_output(
+            self, synthetic_idx_dir, tmp_path, capsys):
+        # JSON holds integers of any size; float() of this one overflows
+        conf = tmp_path / "conf.json"
+        conf.write_text('{"learning_rate": 1' + "0" * 400 + "}")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), *TRAIN_FLAGS, "--config", str(conf)])
+        assert_error_line(code, capsys, "error: --learning-rate must lie "
+                                        "within float range")
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_subset_rejected(self, synthetic_idx_dir, tmp_path,
@@ -216,18 +244,19 @@ class TestTrain:
     def test_divergence_saves_last_finite_model(self, synthetic_idx_dir,
                                                 tmp_path, capsys, monkeypatch):
         # 1872 training rows in batches of 128: 15 steps per epoch, so the
-        # 21st gradient falls mid-way through epoch 2, after the epoch-1 log
-        real = spinrbm.training.nll_gradient
+        # 21st gradient falls mid-way through epoch 2, after the epoch-1 log;
+        # a step completes its gradient in add_model_phase
+        real = spinrbm.training.add_model_phase
         calls = []
 
-        def failing(model, data, neg):
+        def failing(model, data_part, neg):
             calls.append(1)
-            grads = real(model, data, neg)
+            grads = real(model, data_part, neg)
             if len(calls) == 21:
                 return GradientPair(d_b=grads.d_b * np.nan, d_W=grads.d_W)
             return grads
 
-        monkeypatch.setattr(spinrbm.training, "nll_gradient", failing)
+        monkeypatch.setattr(spinrbm.training, "add_model_phase", failing)
         out = tmp_path / "run"
         code = main(["train", "--data", str(synthetic_idx_dir),
                      "--out", str(out), "--seed", "5", *TRAIN_FLAGS])
@@ -236,6 +265,84 @@ class TestTrain:
         assert model.n_h == 32
         rows = (out / "metrics.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["epoch", "1"]
+
+
+class TestBlasThreads:
+    def test_package_import_loads_no_numpy(self):
+        subprocess.run([sys.executable, "-c", "import spinrbm, sys; "
+                        "assert 'numpy' not in sys.modules"],
+                       env=_env_with_src(), check=True)
+
+    def test_thread_variables_set_before_numpy_loads(self):
+        # importing the command sets all three to 1, so the OpenBLAS that
+        # numpy then loads starts with one thread
+        env = {**_env_with_src(), **dict.fromkeys(THREAD_VARS, "2")}
+        script = ("import os, spinrbm.cli as cli\n"
+                  f"assert all(os.environ[v] == '1' for v in {THREAD_VARS})\n"
+                  "calls = cli._openblas_thread_calls()\n"
+                  "assert calls is None or calls[0]() == 1\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    def test_same_bytes_whatever_the_thread_variables(self, tmp_path):
+        # rbm sets BLAS to one thread before numpy loads and splits its work
+        # over two workers in a fixed way; main called in this process,
+        # where numpy loaded first, sets numpy's OpenBLAS to one thread
+        images, _ = synthetic_digits(np.random.default_rng(77), 600)
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(
+            idx_image_bytes(images))
+        args = ["train", "--data", str(tmp_path), "--n-hidden", "16",
+                "--batch-size", "64", "--eval-batch", "64", "--epochs", "2"]
+
+        def outputs(out):
+            rows = [line.rsplit(",", 1)[0] for line in  # less wall_ms
+                    (out / "metrics.csv").read_text().splitlines()]
+            return (out / "checkpoint.rbm").read_bytes(), rows
+
+        runs = []
+        for threads in ("1", "2", None):
+            env = _env_with_src()
+            for name in THREAD_VARS:
+                env.pop(name, None)
+                if threads is not None:
+                    env[name] = threads
+            out = tmp_path / f"run-{threads}"
+            subprocess.run([sys.executable, "-m", "spinrbm.cli", *args,
+                            "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["threads"]["blas_threads"] == 1
+            assert all(manifest["threads"][name] == threads
+                       for name in THREAD_VARS)
+            runs.append(outputs(out))
+        assert main([*args, "--out", str(tmp_path / "in-process")]) == 0
+        runs.append(outputs(tmp_path / "in-process"))
+        assert len(runs[0][1]) == 3
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_main_restores_the_blas_thread_count(self, synthetic_idx_dir,
+                                                 tmp_path):
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS is no OpenBLAS")
+        get, put = calls
+        before = get()
+        put(2)
+        try:
+            seen = []
+            real = spinrbm.cli.train
+
+            def spy(*args, **kwargs):
+                seen.append(get())
+                return real(*args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spinrbm.cli, "train", spy)
+                assert main(["train", "--data", str(synthetic_idx_dir),
+                             "--out", str(tmp_path / "run"),
+                             *TRAIN_FLAGS]) == 0
+            assert seen == [1] and get() == 2
+        finally:
+            put(before)
 
 
 class TestSample:

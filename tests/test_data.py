@@ -200,8 +200,8 @@ class TestComputeStats:
         assert np.array_equal(sigma, sigma.T)
 
     def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
-        # a 4101 x 300 block product is large enough for OpenBLAS to split
-        # it over two threads
+        # the block product of each row half of _ROWS + 5 rows x 300 units
+        # is large enough for OpenBLAS to split it over two threads
         script = (
             "import sys\n"
             "import numpy as np\n"

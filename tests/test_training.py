@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -218,6 +219,48 @@ class TestTrain:
         assert exc.value.model.W.shape == (8, 4)
 
 
+    @pytest.mark.parametrize("mode", ["belief_cd0", "cd_k_from_data"])
+    def test_error_of_negative_phase_on_worker_diverges_as_on_caller(
+            self, monkeypatch, mode):
+        # 72 training rows in batches of 8: the 12th step is epoch 2 batch 2.
+        # The negative phase runs on the worker thread and the data phase on
+        # the caller; an error in either ends training the same way
+        threads = []
+
+        def failing_at_step_12(real):
+            calls = []
+
+            def fn(*args):
+                calls.append(threading.current_thread())
+                if len(calls) == 12:
+                    raise ValueError("injected")
+                return real(*args)
+            threads.append(calls)
+            return fn
+
+        runs = []
+        for name in ("_negative_batch", "data_phase"):
+            with monkeypatch.context() as patch:
+                patch.setattr(spinrbm.training, name, failing_at_step_12(
+                    getattr(spinrbm.training, name)))
+                with pytest.raises(TrainingDiverged,
+                                   match="^epoch 2 batch 2: injected$") as exc:
+                    fit(pattern_spins(), small_config(negative_mode=mode))
+            runs.append(exc.value)
+        negative_threads, data_threads = threads
+        assert threading.main_thread() not in negative_threads
+        assert set(data_threads) == {threading.main_thread()}
+        # the same last in-range model, after 11 steps, and metrics so far
+        worker, caller = runs
+        assert worker.model.W.tobytes() == caller.model.W.tobytes()
+        assert worker.model.b.tobytes() == caller.model.b.tobytes()
+        assert [(m.epoch, m.energy_coefficient, m.recon_error)
+                for m in worker.metrics] == [
+            (m.epoch, m.energy_coefficient, m.recon_error)
+            for m in caller.metrics]
+        assert [m.epoch for m in worker.metrics] == [1]
+
+
 class TestExactDescent:
     def test_gradient_steps_decrease_exact_nll(self, rng):
         # replacing the negative phase by exact enumeration must descend
@@ -376,6 +419,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="'bogus'"):
             load_checkpoint(path)
 
+    def test_config_of_numpy_numbers_roundtrips(self, rng, tmp_path):
+        # the echo is JSON: each number is stored as a Python int or float
+        config = TrainConfig(n_hidden=np.int32(3), epochs=np.int64(2),
+                             learning_rate=np.float32(0.5), seed=np.uint64(7),
+                             init_std=np.float64(0.25), k=np.int8(1))
+        model = random_model(rng, 4, 3)
+        path = tmp_path / "ck.rbm"
+        save_checkpoint(model, config, path)
+        assert load_checkpoint(path)[1] == config
+        echo = json.loads(path.read_bytes()[-len(
+            json.dumps(config.__dict__, sort_keys=True)):])
+        assert echo["learning_rate"] == 0.5 and echo["seed"] == 7
+
     def test_sampling_without_recomputing_stats(self, rng, tmp_path):
         from spinrbm.sampling import belief_generate, make_rng
         model, config = self._random_state(rng)
@@ -428,10 +484,21 @@ class TestConfigValidation:
             TrainConfig(**{field: value})
 
     def test_numpy_and_integer_numbers_accepted(self):
+        # and stored as Python numbers of the field's type
         config = TrainConfig(seed=np.int64(3), n_hidden=np.uint16(8),
                              learning_rate=1, init_std=np.float32(0.25))
         assert (config.seed, config.n_hidden) == (3, 8)
         assert (config.learning_rate, config.init_std) == (1, 0.25)
+        for name in ("seed", "n_hidden", "learning_rate", "init_std"):
+            assert type(getattr(config, name)) is type(
+                TrainConfig.__dataclass_fields__[name].default)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "init_std",
+                                       "binarize_threshold"])
+    def test_integer_beyond_float_range_rejected(self, field):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must lie within float range"):
+            TrainConfig(**{field: 10 ** 400})
 
     @pytest.mark.parametrize("default, good, bad", [
         (0, -7, 0.0), (0.5, 2, "0.5"), ("x", "", b"x"), (None, "path", 7)])
