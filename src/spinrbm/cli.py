@@ -79,10 +79,6 @@ OPTIONS = {
 _CHOICES = {"negative_mode": NEGATIVE_MODES}
 
 
-class CliError(Exception):
-    pass
-
-
 def _find_idx(data_path):
     p = Path(data_path)
     if p.is_file():
@@ -97,7 +93,7 @@ def _find_idx(data_path):
 def _load_dataset(data_path, threshold, subset=0):
     img_path = _find_idx(data_path)
     if img_path is None:
-        raise CliError(f"no IDX image file found under {data_path}")
+        raise ValueError(f"no IDX image file found under {data_path}")
     images = load_idx(img_path)
     if subset:
         images = images[:subset]
@@ -109,17 +105,17 @@ def _parse_steps(text):
     try:
         steps = [int(s) for s in str(text).replace(",", " ").split()]
     except ValueError as exc:
-        raise CliError(f"--steps {text!r}: {exc}") from None
+        raise ValueError(f"--steps {text!r}: {exc}") from None
     if not steps:
-        raise CliError(f"--steps names no step: {text!r}")
+        raise ValueError(f"--steps names no step: {text!r}")
     return steps
 
 
 def _check_count(count, rows=None):
     if count < 1:
-        raise CliError(f"--count must be >= 1, got {count}")
+        raise ValueError(f"--count must be >= 1, got {count}")
     if rows is not None and count > rows:
-        raise CliError(f"--count {count} exceeds the {rows} rows of the data")
+        raise ValueError(f"--count {count} exceeds the {rows} rows of the data")
 
 
 def _resolve(args):
@@ -132,18 +128,18 @@ def _resolve(args):
         with open(args.config) as fh:
             file_conf = json.load(fh)
         if not isinstance(file_conf, dict):
-            raise CliError(f"{args.config}: config must be a JSON object")
+            raise ValueError(f"{args.config}: config must be a JSON object")
         for key, value in file_conf.items():
             key = key.replace("-", "_")
             if key not in options:
-                raise CliError(f"unknown config key {key!r} for {args.command}")
+                raise ValueError(f"unknown config key {key!r} for {args.command}")
             check_option(f"config key {key!r}", value, options[key])
             merged[key] = value
     for key in options:
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
         if merged[key] is None:
-            raise CliError(f"--{key.replace('_', '-')} is required")
+            raise ValueError(f"--{key.replace('_', '-')} is required")
     return argparse.Namespace(**merged)
 
 
@@ -158,7 +154,7 @@ def _write_csv(path, header, rows):
 def _image_side(n_v):
     side = math.isqrt(n_v)
     if side * side != n_v:
-        raise CliError(f"visible layer of {n_v} units is not a square image")
+        raise ValueError(f"visible layer of {n_v} units is not a square image")
     return side
 
 
@@ -242,7 +238,7 @@ def _one_malloc_arena():
 def cmd_train(args):
     """train a model from IDX data"""
     if args.subset < 0:
-        raise CliError(f"--subset must be >= 0 (0 = all), got {args.subset}")
+        raise ValueError(f"--subset must be >= 0 (0 = all), got {args.subset}")
     try:
         config = TrainConfig(**{
             f.name: getattr(args, _TRAIN_FLAGS.get(f.name, f.name))
@@ -251,7 +247,7 @@ def cmd_train(args):
         # the error begins with the TrainConfig field: name its flag instead
         field, _, reason = str(exc).partition(" ")
         flag = _TRAIN_FLAGS.get(field, field).replace("_", "-")
-        raise CliError(f"--{flag} {reason}") from None
+        raise ValueError(f"--{flag} {reason}") from None
     spins, img_path = _load_dataset(args.data, config.binarize_threshold,
                                     subset=args.subset)
     # size and initial-weight errors end the run before --out exists
@@ -260,7 +256,7 @@ def cmd_train(args):
     try:
         model = init_model(stats, config)
     except ValueError as exc:
-        raise CliError(f"--init-std {config.init_std}: {exc}") from exc
+        raise ValueError(f"--init-std {config.init_std}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -272,8 +268,6 @@ def cmd_train(args):
         "data": str(img_path),
         "checkpoint": str(checkpoint_path),
         "metrics_csv": str(csv_path),
-        "image_dir": str(out),
-        "seed": args.seed,
         "subset": args.subset,
         "recon_error_definition": RECON_ERROR_DEFINITION,
         "threads": _thread_setting(),
@@ -292,7 +286,7 @@ def cmd_train(args):
         # keep the last in-range model so the run is inspectable
         save_checkpoint(exc.model, config, checkpoint_path)
         _write_metrics_csv(csv_path, exc.metrics)
-        raise CliError(f"training diverged: {exc}") from exc
+        raise ValueError(f"training diverged: {exc}") from exc
 
     save_checkpoint(model, config, checkpoint_path)
     _write_metrics_csv(csv_path, metrics)
@@ -309,7 +303,7 @@ def _write_metrics_csv(path, metrics):
 def cmd_sample(args):
     """sample-evolution grid from a checkpoint"""
     if args.chains < 1:
-        raise CliError(f"--chains must be >= 1, got {args.chains}")
+        raise ValueError(f"--chains must be >= 1, got {args.chains}")
     model, _ = load_checkpoint(args.checkpoint)
     steps = _parse_steps(args.steps)
     side = _image_side(model.n_v)
@@ -400,8 +394,9 @@ def main(argv=None):
     try:
         with _one_blas_thread():
             return _COMMANDS[args.command](_resolve(args))
-    except (CliError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        # numpy's MemoryError names the size it refused; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

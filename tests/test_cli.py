@@ -68,6 +68,15 @@ class TestTrain:
         manifest = json.loads((trained_run / "manifest.json").read_text())
         assert manifest["config"]["n_hidden"] == 32
 
+    def test_manifest_records_each_fact_once(self, trained_run):
+        # the seed lives in the config echo alone
+        manifest = json.loads((trained_run / "manifest.json").read_text())
+        assert set(manifest) == {"command", "config", "data", "checkpoint",
+                                 "metrics_csv", "subset",
+                                 "recon_error_definition", "threads",
+                                 "numpy_version"}
+        assert manifest["config"]["seed"] == 5
+
     def test_manifest_records_thread_setting(self, trained_run):
         manifest = json.loads((trained_run / "manifest.json").read_text())
         threads = manifest["threads"]
@@ -79,6 +88,17 @@ class TestTrain:
         # OpenBLAS to one thread for the run
         assert threads["blas_threads"] == 1
         assert manifest["numpy_version"] == np.__version__
+
+    def test_manifest_records_no_blas_threads_without_openblas(
+            self, synthetic_idx_dir, tmp_path, monkeypatch):
+        # numpy loaded before spinrbm.cli, and its BLAS is no OpenBLAS
+        monkeypatch.setattr(spinrbm.cli, "_BLAS_PINNED", False)
+        monkeypatch.setattr(spinrbm.cli, "_openblas_thread_calls", lambda: None)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), *TRAIN_FLAGS, "--epochs", "0"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"]["blas_threads"] is None
 
     def test_metrics_header(self, trained_run):
         header = (trained_run / "metrics.csv").read_text().splitlines()[0]
@@ -241,6 +261,22 @@ class TestTrain:
         assert_error_line(code, capsys, "W entries must be finite and within "
                                         "float32 range")
 
+    def test_refused_allocation_leaves_no_output(self, synthetic_idx_dir,
+                                                 tmp_path, capsys, monkeypatch):
+        # what numpy raises for --n-hidden 1000000000, without allocating
+        reason = ("Unable to allocate 5.70 TiB for an array with shape "
+                  "(784, 1000000000) and data type float64")
+
+        def refused(stats, config):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr(spinrbm.cli, "init_model", refused)
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), *TRAIN_FLAGS])
+        assert_error_line(code, capsys, f"error: {reason}")
+        assert not out.exists()
+
     def test_divergence_saves_last_finite_model(self, synthetic_idx_dir,
                                                 tmp_path, capsys, monkeypatch):
         # 1872 training rows in batches of 128: 15 steps per epoch, so the
@@ -372,6 +408,20 @@ class TestSample:
                          "--out", str(out), flag, value])
             assert_error_line(code, capsys, reason)
             assert not out.exists()
+
+    def test_refused_allocation_leaves_no_pgm(self, trained_run, tmp_path,
+                                              capsys, monkeypatch):
+        # a MemoryError without a message, as Python's own allocations raise
+        def refused(model, chains, steps, rng):
+            raise MemoryError
+
+        monkeypatch.setattr(spinrbm.cli, "gibbs_chain", refused)
+        out = tmp_path / "s.pgm"
+        code = main(["sample", "--checkpoint",
+                     str(trained_run / "checkpoint.rbm"), "--out", str(out),
+                     "--chains", "1000000000"])
+        assert_error_line(code, capsys, "error: out of memory")
+        assert not out.exists()
 
     def test_seed_determinism(self, trained_run, tmp_path):
         blobs = []
