@@ -22,10 +22,6 @@ IDX_MAGIC_IMAGES = 0x00000803
 _ROWS = 4096
 
 
-class IdxParseError(ValueError):
-    """Malformed IDX file; the message names the path and the fault."""
-
-
 @dataclass(frozen=True)
 class DataStats:
     """Visible mean mu and covariance sigma (n_v x n_v) of an RbmModel's data.
@@ -65,7 +61,7 @@ def _read_bytes(path):
         try:
             raw = gzip.decompress(raw)
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise IdxParseError(f"{path}: corrupt gzip data: {exc}") from exc
+            raise ValueError(f"{path}: corrupt gzip data: {exc}") from exc
     return raw
 
 
@@ -76,19 +72,19 @@ def load_idx(path):
     """
     raw = _read_bytes(path)
     if len(raw) < 4:
-        raise IdxParseError(f"{path}: truncated header at offset 0")
+        raise ValueError(f"{path}: truncated header at offset 0")
     magic = int.from_bytes(raw[0:4], "big")
     if magic != IDX_MAGIC_IMAGES:
-        raise IdxParseError(f"{path}: bad magic 0x{magic:08x} at offset 0")
+        raise ValueError(f"{path}: bad magic 0x{magic:08x} at offset 0")
     header_len = 16  # magic, then count, rows, cols as big-endian u32
     if len(raw) < header_len:
-        raise IdxParseError(f"{path}: truncated dimensions at offset 4")
+        raise ValueError(f"{path}: truncated dimensions at offset 4")
     dims = [int.from_bytes(raw[4 + 4 * i: 8 + 4 * i], "big") for i in range(3)]
     count = math.prod(dims)
     if 0 in dims or count > (1 << 40):
-        raise IdxParseError(f"{path}: implausible dimensions {dims} at offset 4")
+        raise ValueError(f"{path}: implausible dimensions {dims} at offset 4")
     if len(raw) != header_len + count:
-        raise IdxParseError(
+        raise ValueError(
             f"{path}: payload has {len(raw) - header_len} bytes at offset "
             f"{header_len}, expected {count}")
     data = np.frombuffer(raw, dtype=np.uint8, offset=header_len)

@@ -121,9 +121,9 @@ class TrainingDiverged(RuntimeError):
 
 def init_model(stats, config):
     """Fresh model on data with these stats: W ~ N(0, init_std^2), b = 0."""
-    n_v, n_h, init_std = stats.mu.shape[0], config.n_hidden, config.init_std
+    n_v = stats.mu.shape[0]
     rng = make_rng(config.seed, _STREAM_INIT)
-    W = rng.normal(0.0, init_std, size=(n_v, n_h)) if init_std > 0 else np.zeros((n_v, n_h))
+    W = rng.normal(0.0, config.init_std, size=(n_v, config.n_hidden))
     return RbmModel(W=W, b=np.zeros(n_v), stats=stats)
 
 
@@ -162,7 +162,7 @@ def adam_step(state, grads, lr, params):
     """
     b, W = params
     if not (np.all(np.isfinite(grads.d_b)) and np.all(np.isfinite(grads.d_W))):
-        raise FloatingPointError("non-finite gradient")
+        raise ValueError("non-finite gradient")
     t = state.t + 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1 - b1 ** t
@@ -237,7 +237,7 @@ def train(spins, model, config, on_epoch=None):
                 (b, W), adam = adam_step(adam, grads, config.learning_rate,
                                          (model.b, model.W))
                 model = replace(model, b=b, W=W)
-            except (FloatingPointError, ValueError) as exc:
+            except ValueError as exc:
                 # a sampler covariance or field that overflows float32, a
                 # non-finite gradient, or a step that leaves float32 range
                 raise TrainingDiverged(

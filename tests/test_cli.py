@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import os
 import struct
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,13 @@ TRAIN_FLAGS = ["--n-hidden", "32", "--epochs", "2", "--batch-size", "128",
 def _env_with_src():
     src = str(Path(spinrbm.__file__).parent.parent)
     return {**os.environ, "PYTHONPATH": src}
+
+
+def raising(exc):
+    """A stand-in for a call that fails with exc."""
+    def call(*args):
+        raise exc
+    return call
 
 
 def assert_error_line(code, capsys, reason):
@@ -380,6 +389,38 @@ class TestBlasThreads:
         finally:
             put(before)
 
+    def test_no_thread_calls_without_a_readable_map(self, monkeypatch):
+        monkeypatch.setattr(spinrbm.cli, "open", raising(PermissionError()),
+                            raising=False)
+        assert _openblas_thread_calls() is None
+
+    def test_no_thread_calls_when_no_library_exports_them(self, monkeypatch):
+        # a mapped file named like OpenBLAS whose library lacks the calls
+        maps = ("7f0000000000-7f0000001000 r-xp 00000000 08:01 42 "
+                "/usr/lib/libopenblas.so.0\n")
+        opened = []
+        monkeypatch.setattr(spinrbm.cli, "open",
+                            lambda path: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(spinrbm.cli, "ctypes", SimpleNamespace(
+            CDLL=lambda path: opened.append(path) or SimpleNamespace()))
+        assert _openblas_thread_calls() is None
+        assert opened == ["/usr/lib/libopenblas.so.0"]
+
+    @pytest.mark.parametrize("confstr", [
+        pytest.param(raising(AttributeError()), id="no-confstr"),
+        pytest.param(raising(ValueError()), id="unknown-name"),
+        pytest.param(raising(OSError()), id="oserror"),
+        pytest.param(lambda name: None, id="no-value"),
+        pytest.param(lambda name: "musl 1.2.4", id="not-glibc"),
+    ])
+    def test_malloc_arena_cap_skipped_without_glibc(self, monkeypatch,
+                                                    confstr):
+        monkeypatch.setattr(spinrbm.cli.os, "confstr", confstr)
+        # no mallopt call: the libc is never opened
+        monkeypatch.setattr(spinrbm.cli, "ctypes", SimpleNamespace(
+            CDLL=raising(AssertionError("libc opened"))))
+        spinrbm.cli._one_malloc_arena()
+
 
 class TestSample:
     def test_default_grid_layout(self, trained_run, tmp_path):
@@ -433,8 +474,7 @@ class TestSample:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    # DataStats checks sigma and RbmModel checks W; the test keeps the name
-    # of the covariance factor that sigma replaced
+    # DataStats checks sigma and RbmModel checks W
     @pytest.mark.parametrize("array, value, reason", [
         pytest.param("sigma", np.nan, "sigma entries must be finite", id="nan"),
         pytest.param("sigma", np.inf, "sigma entries must be finite", id="inf"),
@@ -444,8 +484,8 @@ class TestSample:
         pytest.param("W", np.inf, "W entries must be finite", id="W-inf"),
         pytest.param("W", 1e200, "W entries must be finite", id="W-1e200"),
     ])
-    def test_checkpoint_with_unusable_q_rejected(self, tmp_path, capsys,
-                                                 array, value, reason):
+    def test_checkpoint_with_unusable_sigma_or_w_rejected(
+            self, tmp_path, capsys, array, value, reason):
         path = tiny_checkpoint(tmp_path / "ck.rbm")
         blob = bytearray(path.read_bytes())
         # after the 20-byte header: b (4), W (4 x 3), mu (4), sigma (4 x 4)

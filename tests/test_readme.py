@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-import spinrbm
+import spinrbm.data
 from conftest import synthetic_digits
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,7 +21,7 @@ def library_example():
 
 def test_library_example_runs(monkeypatch, capsys):
     images, _ = synthetic_digits(np.random.default_rng(5), 600)
-    monkeypatch.setattr(spinrbm, "load_idx", lambda path: images)
+    monkeypatch.setattr(spinrbm.data, "load_idx", lambda path: images)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         exec(compile(library_example(), str(README), "exec"), {})

@@ -41,6 +41,7 @@ class TestInitModel:
         m = init_model(stats_at(np.zeros(5)),
                        small_config(n_hidden=3, init_std=0.0, seed=1))
         assert np.all(m.W == 0) and np.all(m.b == 0)
+        assert not np.signbit(m.W).any()
 
     def test_determinism(self):
         config = small_config(n_hidden=3, init_std=0.1, seed=9)
@@ -123,7 +124,7 @@ class TestAdam:
     def test_non_finite_gradient_rejected(self):
         state = AdamState.zeros(1, 1)
         g = GradientPair(d_b=np.array([np.nan]), d_W=np.zeros((1, 1)))
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(ValueError, match="non-finite gradient"):
             adam_step(state, g, 1e-3, (np.zeros(1), np.zeros((1, 1))))
 
 
