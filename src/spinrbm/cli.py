@@ -77,6 +77,8 @@ OPTIONS = {
 }
 
 _CHOICES = {"negative_mode": NEGATIVE_MODES}
+# the least value of each option that has one; TrainConfig checks its own
+_LEAST = {"subset": 0, "chains": 1, "count": 1, "batch_size": 1}
 
 
 def _find_idx(data_path):
@@ -101,36 +103,43 @@ def _load_dataset(data_path, threshold, subset=0):
 
 
 def _parse_steps(text):
-    """Step list from "0,1,2" or "0 1 2"; gibbs_chain checks the order."""
+    """Step list from "0,1,2" or "0 1 2", ascending and nonnegative."""
     try:
-        steps = [int(s) for s in str(text).replace(",", " ").split()]
+        steps = [int(s) for s in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ValueError(f"--steps {text!r}: {exc}") from None
+        raise ValueError(f"steps {text!r}: {exc}") from None
     if not steps:
-        raise ValueError(f"--steps names no step: {text!r}")
+        raise ValueError(f"steps names no step: {text!r}")
+    if steps != sorted(steps) or steps[0] < 0:
+        raise ValueError(
+            f"steps must be sorted ascending and nonnegative, got {steps}")
     return steps
 
 
-def _check_count(count, rows=None):
-    if count < 1:
-        raise ValueError(f"--count must be >= 1, got {count}")
-    if rows is not None and count > rows:
-        raise ValueError(f"--count {count} exceeds the {rows} rows of the data")
+def _config_object(pairs):
+    """A JSON object of a config file, keyed by option name: a key that
+    names an option twice (with dashes or underscores) is an error."""
+    conf = {}
+    for key, value in pairs:
+        key = key.replace("-", "_")
+        if key in conf:
+            raise ValueError(f"config key {key!r} given twice")
+        conf[key] = value
+    return conf
 
 
 def _resolve(args):
-    """Layer option sources: OPTIONS < preset < config file < CLI flags."""
+    """Layer OPTIONS < preset < config file < CLI flags; check the values."""
     options = OPTIONS[args.command]
     merged = dict(options)
     if getattr(args, "preset", None):
         merged.update(PRESETS[args.preset])
     if args.config:
         with open(args.config) as fh:
-            file_conf = json.load(fh)
+            file_conf = json.load(fh, object_pairs_hook=_config_object)
         if not isinstance(file_conf, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         for key, value in file_conf.items():
-            key = key.replace("-", "_")
             if key not in options:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
             check_option(f"config key {key!r}", value, options[key])
@@ -140,6 +149,23 @@ def _resolve(args):
             merged[key] = getattr(args, key)
         if merged[key] is None:
             raise ValueError(f"--{key.replace('_', '-')} is required")
+    try:
+        for key, least in _LEAST.items():
+            if merged.get(key, least) < least:
+                aside = " (0 = all)" if key == "subset" else ""
+                raise ValueError(f"{key} must be >= {least}{aside}, got {merged[key]}")
+        make_rng(merged["seed"])
+        if "steps" in merged:
+            merged["steps"] = _parse_steps(merged["steps"])
+        if args.command == "train":
+            merged["config"] = TrainConfig(**{
+                f.name: merged[_TRAIN_FLAGS.get(f.name, f.name)]
+                for f in fields(TrainConfig)})
+    except ValueError as exc:
+        # the error begins with an option or TrainConfig field: name its flag
+        field, _, reason = str(exc).partition(" ")
+        flag = _TRAIN_FLAGS.get(field, field).replace("_", "-")
+        raise ValueError(f"--{flag} {reason}") from None
     return argparse.Namespace(**merged)
 
 
@@ -158,17 +184,11 @@ def _image_side(n_v):
     return side
 
 
-def _thread_setting():
-    """Cores, CPU affinity, the BLAS thread count of the run (None where
-    numpy loaded first and its BLAS is no OpenBLAS) and the thread
-    variables the run found."""
+def _thread_setting(blas_threads):
+    """Cores, CPU affinity, the BLAS thread count of the run and the
+    thread variables the run found."""
     affinity = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else None)
-    if _BLAS_PINNED:
-        blas_threads = 1
-    else:
-        calls = _openblas_thread_calls()
-        blas_threads = calls[0]() if calls else None
     return {"cpu_count": os.cpu_count(), "affinity_count": affinity,
             "blas_threads": blas_threads, **_THREAD_ENV}
 
@@ -201,16 +221,18 @@ def _openblas_thread_calls():
 def _one_blas_thread():
     """Run BLAS on one thread where numpy loaded before rbm could set the
     thread variables (main called from Python), restoring the count
-    after; an rbm process has set them already."""
+    after; an rbm process has set them already.  Yields the run's BLAS
+    thread count: 1, or None where numpy loaded first and its BLAS is no
+    OpenBLAS."""
     calls = None if _BLAS_PINNED else _openblas_thread_calls()
     if calls is None:
-        yield
+        yield 1 if _BLAS_PINNED else None
         return
     get, put = calls
     before = get()
     put(1)
     try:
-        yield
+        yield 1
     finally:
         put(before)
 
@@ -237,17 +259,7 @@ def _one_malloc_arena():
 
 def cmd_train(args):
     """train a model from IDX data"""
-    if args.subset < 0:
-        raise ValueError(f"--subset must be >= 0 (0 = all), got {args.subset}")
-    try:
-        config = TrainConfig(**{
-            f.name: getattr(args, _TRAIN_FLAGS.get(f.name, f.name))
-            for f in fields(TrainConfig)})
-    except ValueError as exc:
-        # the error begins with the TrainConfig field: name its flag instead
-        field, _, reason = str(exc).partition(" ")
-        flag = _TRAIN_FLAGS.get(field, field).replace("_", "-")
-        raise ValueError(f"--{flag} {reason}") from None
+    config = args.config
     spins, img_path = _load_dataset(args.data, config.binarize_threshold,
                                     subset=args.subset)
     # size and initial-weight errors end the run before --out exists
@@ -270,7 +282,7 @@ def cmd_train(args):
         "metrics_csv": str(csv_path),
         "subset": args.subset,
         "recon_error_definition": RECON_ERROR_DEFINITION,
-        "threads": _thread_setting(),
+        "threads": _thread_setting(args.blas_threads),
         "numpy_version": np.__version__,
     }
     atomic_write_bytes(out / "manifest.json",
@@ -302,17 +314,14 @@ def _write_metrics_csv(path, metrics):
 
 def cmd_sample(args):
     """sample-evolution grid from a checkpoint"""
-    if args.chains < 1:
-        raise ValueError(f"--chains must be >= 1, got {args.chains}")
     model, _ = load_checkpoint(args.checkpoint)
-    steps = _parse_steps(args.steps)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5A)
     rows = []
-    for _, v in gibbs_chain(model, args.chains, steps, rng):
+    for _, v in gibbs_chain(model, args.chains, args.steps, rng):
         rows.extend(spins_to_gray(v, side))
-    write_pgm(args.out, tile_grid(rows, len(steps), args.chains))
-    print(f"wrote {args.out}: {len(steps)} rows x {args.chains} chains")
+    write_pgm(args.out, tile_grid(rows, len(args.steps), args.chains))
+    print(f"wrote {args.out}: {len(args.steps)} rows x {args.chains} chains")
     return 0
 
 
@@ -320,7 +329,9 @@ def cmd_reconstruct(args):
     """originals vs one-step reconstructions"""
     model, config = load_checkpoint(args.checkpoint)
     spins, _ = _load_dataset(args.data, config.binarize_threshold)
-    _check_count(args.count, len(spins))
+    if args.count > len(spins):
+        raise ValueError(
+            f"--count {args.count} exceeds the {len(spins)} rows of the data")
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5B)
     idx = rng.choice(len(spins), size=args.count, replace=False)
@@ -338,10 +349,9 @@ def cmd_eval(args):
     """reconstruction error vs Gibbs steps"""
     model, config = load_checkpoint(args.checkpoint)
     spins, _ = _load_dataset(args.data, config.binarize_threshold)
-    steps = _parse_steps(args.steps)
     rows = []
-    for k, err, coeff in eval_curve(model, spins, args.batch_size, steps,
-                                    args.seed):
+    for k, err, coeff in eval_curve(model, spins, args.batch_size,
+                                    args.steps, args.seed):
         rows.append((k, repr(err), repr(coeff)))
         print(f"step {k:3d}  recon_error {err:.4f}  energy_coefficient {coeff:.4f}")
     _write_csv(args.out, ["step", "recon_error", "energy_coefficient"], rows)
@@ -350,7 +360,6 @@ def cmd_eval(args):
 
 def cmd_weights(args):
     """tile a random subset of weight columns"""
-    _check_count(args.count)
     model, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5E)
@@ -392,8 +401,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _one_blas_thread():
-            return _COMMANDS[args.command](_resolve(args))
+        with _one_blas_thread() as blas_threads:
+            options = _resolve(args)
+            options.blas_threads = blas_threads
+            return _COMMANDS[args.command](options)
     except (OSError, ValueError, MemoryError) as exc:
         # numpy's MemoryError names the size it refused; a bare one is empty
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

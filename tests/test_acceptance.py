@@ -16,7 +16,7 @@ import pytest
 
 from conftest import (idx_image_bytes, random_sigma, random_spins, stats_at,
                       synthetic_digits)
-from spinrbm.cli import main
+from spinrbm.cli import _one_blas_thread, main
 from spinrbm.data import DataStats, binarize, compute_stats, load_idx
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
 from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
@@ -129,11 +129,15 @@ def test_criterion_4_energy_coefficient_calibration():
 
 
 def _run_desk(spins):
+    # numpy loaded first in this process: BLAS on one thread, as in rbm, so
+    # that its threads do not compete with the two workers for the cores
     config = TrainConfig(seed=7, eval_every=5, **DESK)
-    model, _ = train(spins, init_model(compute_stats(spins), config), config)
-    step0 = recon_error(model, spins[:1024], make_rng(7, 0x99))
-    curve = [(k, err) for k, err, _ in
-             eval_curve(model, spins, 1024, EVAL_STEPS, 7)]
+    with _one_blas_thread():
+        model, _ = train(spins, init_model(compute_stats(spins), config),
+                         config)
+        step0 = recon_error(model, spins[:1024], make_rng(7, 0x99))
+        curve = [(k, err) for k, err, _ in
+                 eval_curve(model, spins, 1024, EVAL_STEPS, 7)]
     return step0, curve
 
 

@@ -27,6 +27,31 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRAIN_FLAGS = ["--n-hidden", "32", "--epochs", "2", "--batch-size", "128",
                "--eval-batch", "128"]
 
+# a value below the range of each option that has a lower bound, and of
+# every command's --seed, with the error line it ends in
+OUT_OF_RANGE = [
+    ("train", "subset", -1, "--subset must be >= 0 (0 = all), got -1"),
+    ("train", "n_hidden", 0, "--n-hidden must be >= 1, got 0"),
+    ("train", "epochs", -1, "--epochs must be >= 0, got -1"),
+    ("train", "batch_size", 0, "--batch-size must be >= 1, got 0"),
+    ("train", "k", -1, "--k must be >= 0, got -1"),
+    ("train", "eval_every", 0, "--eval-every must be >= 1, got 0"),
+    ("train", "eval_batch", 0, "--eval-batch must be >= 1, got 0"),
+    ("train", "learning_rate", -0.5,
+     "--learning-rate must be finite and > 0, got -0.5"),
+    ("train", "init_std", -0.5, "--init-std must be finite and >= 0, got -0.5"),
+    ("train", "threshold", -0.5, "--threshold must lie in (0, 1), got -0.5"),
+    ("sample", "chains", 0, "--chains must be >= 1, got 0"),
+    ("sample", "steps", "-1",
+     "--steps must be sorted ascending and nonnegative, got [-1]"),
+    ("reconstruct", "count", 0, "--count must be >= 1, got 0"),
+    ("eval", "batch_size", 0, "--batch-size must be >= 1, got 0"),
+    ("eval", "steps", "4,2",
+     "--steps must be sorted ascending and nonnegative, got [4, 2]"),
+    ("weights", "count", 0, "--count must be >= 1, got 0"),
+] + [(command, "seed", -1, "--seed must lie in [0, 2**64), got -1")
+     for command in OPTIONS]
+
 
 def _env_with_src():
     src = str(Path(spinrbm.__file__).parent.parent)
@@ -109,6 +134,22 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"]["blas_threads"] is None
 
+    def test_openblas_found_once_per_run(self, synthetic_idx_dir, tmp_path,
+                                         monkeypatch):
+        # the manifest's blas_threads comes from the pin, not a second search
+        real = _openblas_thread_calls
+        searches = []
+        monkeypatch.setattr(spinrbm.cli, "_BLAS_PINNED", False)
+        monkeypatch.setattr(spinrbm.cli, "_openblas_thread_calls",
+                            lambda: searches.append(1) or real())
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), *TRAIN_FLAGS, "--epochs", "0"]) == 0
+        assert searches == [1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"]["blas_threads"] == (
+            None if real() is None else 1)
+
     def test_metrics_header(self, trained_run):
         header = (trained_run / "metrics.csv").read_text().splitlines()[0]
         assert header == "epoch,energy_coefficient,recon_error,wall_ms"
@@ -150,6 +191,20 @@ class TestTrain:
         conf.write_text(json.dumps([{"epochs": 1}]))
         assert_error_line(main(["train", "--config", str(conf)]), capsys,
                           "JSON object")
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"batch_size": 64, "batch-size": 128}', "batch_size"),
+        ('{"epochs": 0, "epochs": 1}', "epochs")], ids=["spellings", "repeat"])
+    def test_config_key_given_twice_rejected(self, synthetic_idx_dir, tmp_path,
+                                             capsys, text, key):
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), "--config", str(conf)])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: config key {key!r} given twice\n")
+        assert not out.exists()
 
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -714,6 +769,30 @@ class TestOptions:
             assert_error_line(main([command, "--config", str(conf)]), capsys,
                               f"config key {name!r} must be {noun}, "
                               f"got {wrong!r}")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,name,value,line", OUT_OF_RANGE,
+        ids=[f"{command}-{name}" for command, name, _, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_names_its_flag(
+            self, trained_run, synthetic_idx_dir, tmp_path, capsys, command,
+            name, value, line, source):
+        out = tmp_path / "out"
+        inputs = {"checkpoint": trained_run / "checkpoint.rbm",
+                  "data": synthetic_idx_dir}
+        args = [command, "--out", str(out)]
+        for key in inputs.keys() & OPTIONS[command].keys():
+            args += [f"--{key}", str(inputs[key])]
+        if source == "flag":
+            args.append(f"--{name.replace('_', '-')}={value}")
+        else:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({name: value}))
+            args += ["--config", str(conf)]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert (code, captured.err, captured.out) == (1, f"error: {line}\n", "")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "sample"])
     def test_seed_outside_64_bits_rejected(self, synthetic_idx_dir, tmp_path,
