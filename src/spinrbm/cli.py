@@ -46,10 +46,11 @@ from .io_util import atomic_write_bytes  # noqa: E402
 from .metrics import (RECON_ERROR_DEFINITION, eval_curve,  # noqa: E402
                       reconstruct)
 from .model import spins_from_mask  # noqa: E402
-from .sampling import gibbs_chain, make_rng  # noqa: E402
+from .sampling import check_steps, gibbs_chain, make_rng  # noqa: E402
 from .training import (NEGATIVE_MODES, TrainConfig,  # noqa: E402
                        TrainingDiverged, check_option, holdout_size,
-                       init_model, load_checkpoint, save_checkpoint, train)
+                       init_model, load_checkpoint, read_config,
+                       save_checkpoint, train)
 
 # what each preset changes; the option defaults are the paper's settings
 PRESETS = {
@@ -59,14 +60,10 @@ PRESETS = {
 
 _IMAGE_NAMES = ("train-images-idx3-ubyte", "train-images.idx3-ubyte")
 
-# rbm train flag of each TrainConfig field whose name differs from it
-_TRAIN_FLAGS = {"binarize_threshold": "threshold"}
-
 # each command's options and their defaults; a None default is required
 OPTIONS = {
     "train": dict(data=None, out="run", subset=0,
-                  **{_TRAIN_FLAGS.get(f.name, f.name): f.default
-                     for f in fields(TrainConfig)}),
+                  **{f.name: f.default for f in fields(TrainConfig)}),
     "sample": dict(checkpoint=None, out="samples.pgm", steps="0,1,2,4,8,16,32",
                    chains=16, seed=0),
     "reconstruct": dict(checkpoint=None, data=None, out="reconstructions.pgm",
@@ -110,22 +107,14 @@ def _parse_steps(text):
         raise ValueError(f"steps {text!r}: {exc}") from None
     if not steps:
         raise ValueError(f"steps names no step: {text!r}")
-    if steps != sorted(steps) or steps[0] < 0:
-        raise ValueError(
-            f"steps must be sorted ascending and nonnegative, got {steps}")
-    return steps
+    return check_steps(steps)
 
 
-def _config_object(pairs):
-    """A JSON object of a config file, keyed by option name: a key that
-    names an option twice (with dashes or underscores) is an error."""
-    conf = {}
-    for key, value in pairs:
-        key = key.replace("-", "_")
-        if key in conf:
-            raise ValueError(f"config key {key!r} given twice")
-        conf[key] = value
-    return conf
+def _flag_error(text):
+    """The error text, which begins with an option or TrainConfig field,
+    as a ValueError that begins with the field's flag instead."""
+    field, _, reason = text.partition(" ")
+    return ValueError(f"--{field.replace('_', '-')} {reason}")
 
 
 def _resolve(args):
@@ -135,10 +124,10 @@ def _resolve(args):
     if getattr(args, "preset", None):
         merged.update(PRESETS[args.preset])
     if args.config:
-        with open(args.config) as fh:
-            file_conf = json.load(fh, object_pairs_hook=_config_object)
-        if not isinstance(file_conf, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
+        try:
+            file_conf = read_config(Path(args.config).read_text())
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
         for key, value in file_conf.items():
             if key not in options:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
@@ -159,13 +148,9 @@ def _resolve(args):
             merged["steps"] = _parse_steps(merged["steps"])
         if args.command == "train":
             merged["config"] = TrainConfig(**{
-                f.name: merged[_TRAIN_FLAGS.get(f.name, f.name)]
-                for f in fields(TrainConfig)})
+                f.name: merged[f.name] for f in fields(TrainConfig)})
     except ValueError as exc:
-        # the error begins with an option or TrainConfig field: name its flag
-        field, _, reason = str(exc).partition(" ")
-        flag = _TRAIN_FLAGS.get(field, field).replace("_", "-")
-        raise ValueError(f"--{flag} {reason}") from None
+        raise _flag_error(str(exc)) from None
     return argparse.Namespace(**merged)
 
 
@@ -262,13 +247,22 @@ def cmd_train(args):
     config = args.config
     spins, img_path = _load_dataset(args.data, config.binarize_threshold,
                                     subset=args.subset)
-    # size and initial-weight errors end the run before --out exists
-    stats = compute_stats(spins)
-    holdout_size(len(spins), config)
+    # size and initial-weight errors end the run before --out exists, each
+    # naming the flag at fault
+    try:
+        stats = compute_stats(spins)  # too few rows
+    except ValueError as exc:
+        if len(spins) != args.subset:  # --subset did not cut the rows
+            raise ValueError(f"{img_path}: {exc}") from None
+        raise _flag_error(f"subset {args.subset}: {exc}") from None
+    try:
+        holdout_size(len(spins), config)
+    except ValueError as exc:
+        raise _flag_error(str(exc)) from None
     try:
         model = init_model(stats, config)
     except ValueError as exc:
-        raise ValueError(f"--init-std {config.init_std}: {exc}") from exc
+        raise _flag_error(f"init_std {config.init_std}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

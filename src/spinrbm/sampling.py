@@ -158,11 +158,16 @@ def gibbs_chain(model, batch, steps, rng):
     The chain draws from rng only when advanced, so a caller may draw from
     rng between steps.
     """
+    return _walk_chain(model, batch, check_steps(steps), rng)
+
+
+def check_steps(steps):
+    """steps as a list, which must be sorted ascending and nonnegative."""
     steps = list(steps)
     if steps != sorted(steps) or any(k < 0 for k in steps):
         raise ValueError(
             f"steps must be sorted ascending and nonnegative, got {steps}")
-    return _walk_chain(model, batch, steps, rng)
+    return steps
 
 
 def _walk_chain(model, batch, steps, rng):

@@ -48,6 +48,28 @@ def check_option(name, value, default):
         raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
+def read_config(text):
+    """The JSON object of a config file or checkpoint echo, keyed by option
+    name (dashes read as underscores); ValueError for any other JSON value,
+    a key given twice (in either spelling) or nesting too deep to parse."""
+    def options(pairs):
+        conf = {}
+        for key, value in pairs:
+            key = key.replace("-", "_")
+            if key in conf:
+                raise ValueError(f"config key {key!r} given twice")
+            conf[key] = value
+        return conf
+
+    try:
+        conf = json.loads(text, object_pairs_hook=options)
+    except RecursionError:
+        raise ValueError("config nests too deep to parse") from None
+    if not isinstance(conf, dict):
+        raise ValueError("config must be a JSON object")
+    return conf
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     n_hidden: int = 512
@@ -178,14 +200,14 @@ def adam_step(state, grads, lr, params):
 def holdout_size(n, config):
     """Rows of the held-out fold of an n-row dataset.
 
-    Raises ValueError when the training split left over is smaller than
-    one batch.
+    Raises ValueError, beginning with batch_size, when the training split
+    left over is smaller than one batch.
     """
     n_hold = min(config.eval_batch, n // 10)
     if n - n_hold < config.batch_size:
         raise ValueError(
-            f"training split holds {n - n_hold} rows after the held-out "
-            f"fold, fewer than batch_size {config.batch_size}")
+            f"batch_size {config.batch_size} exceeds the {n - n_hold} rows "
+            "the training split holds after the held-out fold")
     return n_hold
 
 
@@ -354,9 +376,7 @@ def _parse_checkpoint(buf):
 
 
 def _parse_config(blob):
-    fields = json.loads(blob.decode())
-    if not isinstance(fields, dict):
-        raise ValueError("checkpoint config is not a JSON object")
+    fields = read_config(blob.decode())
     known = TrainConfig.__dataclass_fields__
     for key in fields:
         if key not in known:

@@ -83,10 +83,11 @@ def brute_hidden_mean(model, v):
 # --- checkpoint bytes ---
 
 def with_config(blob, config, fields):
-    """Checkpoint bytes whose trailing config block is replaced by fields."""
+    """Checkpoint bytes whose trailing config block is replaced by fields,
+    or by JSON text as given."""
     old = json.dumps(config.__dict__, sort_keys=True).encode()
     assert blob.endswith(old)
-    new = json.dumps(fields).encode()
+    new = (fields if isinstance(fields, str) else json.dumps(fields)).encode()
     return resealed(blob[:-len(old) - 4] + struct.pack("<I", len(new)) + new)
 
 

@@ -5,7 +5,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +17,7 @@ import spinrbm.training
 from conftest import (idx_image_bytes, random_model, read_pgm, resealed,
                       stats_at, synthetic_digits, with_config,
                       write_synthetic_idx)
-from spinrbm.cli import OPTIONS, _openblas_thread_calls, main
+from spinrbm.cli import OPTIONS, _openblas_thread_calls, build_parser, main
 from spinrbm.data import DataStats
 from spinrbm.model import GradientPair, RbmModel
 from spinrbm.training import TrainConfig, load_checkpoint, save_checkpoint
@@ -40,7 +40,8 @@ OUT_OF_RANGE = [
     ("train", "learning_rate", -0.5,
      "--learning-rate must be finite and > 0, got -0.5"),
     ("train", "init_std", -0.5, "--init-std must be finite and >= 0, got -0.5"),
-    ("train", "threshold", -0.5, "--threshold must lie in (0, 1), got -0.5"),
+    ("train", "binarize_threshold", -0.5,
+     "--binarize-threshold must lie in (0, 1), got -0.5"),
     ("sample", "chains", 0, "--chains must be >= 1, got 0"),
     ("sample", "steps", "-1",
      "--steps must be sorted ascending and nonnegative, got [-1]"),
@@ -51,6 +52,10 @@ OUT_OF_RANGE = [
     ("weights", "count", 0, "--count must be >= 1, got 0"),
 ] + [(command, "seed", -1, "--seed must lie in [0, 2**64), got -1")
      for command in OPTIONS]
+
+# JSON nested 100000 deep, as an array and as an object
+DEEP_JSON = {"array": "[" * 100000 + "]" * 100000,
+             "object": '{"a": ' * 100000 + "1" + "}" * 100000}
 
 
 def _env_with_src():
@@ -63,6 +68,13 @@ def raising(exc):
     def call(*args):
         raise exc
     return call
+
+
+def run_outputs(out):
+    """The checkpoint bytes and metrics rows (less wall_ms) of a run."""
+    rows = [line.rsplit(",", 1)[0]
+            for line in (out / "metrics.csv").read_text().splitlines()]
+    return (out / "checkpoint.rbm").read_bytes(), rows
 
 
 def assert_error_line(code, capsys, reason):
@@ -170,6 +182,32 @@ class TestTrain:
         assert (outs[0] / "checkpoint.rbm").read_bytes() == \
                (outs[1] / "checkpoint.rbm").read_bytes()
 
+    def test_run_replays_from_its_manifest(self, synthetic_idx_dir, tmp_path):
+        # the manifest's config, data and subset train the same run again
+        first = tmp_path / "first"
+        assert main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(first), "--seed", "3", "--subset", "1500",
+                     "--binarize-threshold", "0.4", *TRAIN_FLAGS]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        conf = tmp_path / "replay.json"
+        conf.write_text(json.dumps(manifest["config"]))
+        again = tmp_path / "again"
+        assert main(["train", "--config", str(conf), "--data",
+                     manifest["data"], "--subset", str(manifest["subset"]),
+                     "--out", str(again)]) == 0
+        assert run_outputs(again) == run_outputs(first)
+
+    def test_every_config_field_is_an_option_of_its_name(self):
+        # each TrainConfig field is an rbm train flag and config key of the
+        # same name: there is no mapping between the two
+        names = {f.name for f in fields(TrainConfig)}
+        assert set(OPTIONS["train"]) == names | {"data", "out", "subset"}
+        parser = build_parser()
+        for f in fields(TrainConfig):
+            args = parser.parse_args(
+                ["train", f"--{f.name.replace('_', '-')}", str(f.default)])
+            assert getattr(args, f.name) == f.default
+
     def test_config_file_with_flag_override(self, synthetic_idx_dir, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({
@@ -203,7 +241,20 @@ class TestTrain:
         code = main(["train", "--data", str(synthetic_idx_dir), "--out",
                      str(out), "--config", str(conf)])
         assert (code, capsys.readouterr().err) == (
-            1, f"error: config key {key!r} given twice\n")
+            1, f"error: {conf}: config key {key!r} given twice\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", DEEP_JSON.values(), ids=DEEP_JSON)
+    def test_config_nested_too_deep_leaves_no_output(
+            self, synthetic_idx_dir, tmp_path, capsys, text):
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                     str(out), "--config", str(conf)])
+        captured = capsys.readouterr()
+        assert (code, captured.err, captured.out) == (
+            1, f"error: {conf}: config nests too deep to parse\n", "")
         assert not out.exists()
 
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys):
@@ -241,13 +292,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value,reason", [
         ("--init-std", "nan", "--init-std must be finite"),
-        ("--threshold", "1.5", "--threshold must lie in (0, 1)"),
+        ("--binarize-threshold", "1.5", "--binarize-threshold must lie in (0, 1)"),
         ("--n-hidden", "0", "--n-hidden must be >= 1, got 0"),
         ("--batch-size", "0", "--batch-size must be >= 1, got 0"),
         ("--eval-every", "0", "--eval-every must be >= 1, got 0"),
         ("--epochs", "-1", "--epochs must be >= 0, got -1"),
-        ("--subset", "1", "need at least 2 samples"),
-        ("--subset", "60", "training split holds 54 rows"),
+        ("--subset", "1", "error: --subset 1: need at least 2 samples"),
+        ("--subset", "60", "error: --batch-size 128 exceeds the 54 rows"),
         ("--init-std", "1e300", "--init-std")],
         ids=["init_std", "threshold", "n_hidden", "batch_size", "eval_every",
              "epochs", "subset_1", "subset_60", "init_std_1e300"])
@@ -257,6 +308,17 @@ class TestTrain:
         code = main(["train", "--data", str(synthetic_idx_dir), "--out",
                      str(out), *TRAIN_FLAGS, flag, value])
         assert_error_line(code, capsys, reason)
+        assert not out.exists()
+
+    def test_too_few_rows_name_the_file(self, tmp_path, capsys):
+        # no --subset cut the rows: the error names the data file
+        data = tmp_path / "img"
+        data.write_bytes(idx_image_bytes(np.zeros((1, 2, 2))))
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     *TRAIN_FLAGS, "--subset", "5"])
+        assert_error_line(code, capsys, f"error: {data}: need at least 2 "
+                                        "samples for covariance statistics")
         assert not out.exists()
 
     def test_images_without_pixels_rejected(self, tmp_path, capsys):
@@ -393,11 +455,6 @@ class TestBlasThreads:
         args = ["train", "--data", str(tmp_path), "--n-hidden", "16",
                 "--batch-size", "64", "--eval-batch", "64", "--epochs", "2"]
 
-        def outputs(out):
-            rows = [line.rsplit(",", 1)[0] for line in  # less wall_ms
-                    (out / "metrics.csv").read_text().splitlines()]
-            return (out / "checkpoint.rbm").read_bytes(), rows
-
         runs = []
         for threads in ("1", "2", None):
             env = _env_with_src()
@@ -413,9 +470,9 @@ class TestBlasThreads:
             assert manifest["threads"]["blas_threads"] == 1
             assert all(manifest["threads"][name] == threads
                        for name in THREAD_VARS)
-            runs.append(outputs(out))
+            runs.append(run_outputs(out))
         assert main([*args, "--out", str(tmp_path / "in-process")]) == 0
-        runs.append(outputs(tmp_path / "in-process"))
+        runs.append(run_outputs(tmp_path / "in-process"))
         assert len(runs[0][1]) == 3
         assert all(run == runs[0] for run in runs[1:])
 
@@ -591,6 +648,22 @@ class TestSample:
         code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
         assert_error_line(code, capsys,
                           f"{path}: epochs must be an int, got nan")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("echo, reason", [
+        (DEEP_JSON["array"], "config nests too deep to parse"),
+        (json.dumps(TrainConfig(n_hidden=3).__dict__)[:-1] + ', "epochs": 99}',
+         "config key 'epochs' given twice")], ids=["deep", "epochs_twice"])
+    def test_config_echo_read_by_the_config_file_rules(self, tmp_path, capsys,
+                                                       echo, reason):
+        path = tiny_checkpoint(tmp_path / "ck.rbm")
+        path.write_bytes(with_config(path.read_bytes(),
+                                     TrainConfig(n_hidden=3), echo))
+        out = tmp_path / "o.pgm"
+        code = main(["sample", "--checkpoint", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.err, captured.out) == (
+            1, f"error: {path}: {reason}\n", "")
         assert not out.exists()
 
     def test_flipped_byte_error_line(self, tmp_path, capsys):
@@ -794,6 +867,20 @@ class TestOptions:
         assert (code, captured.err, captured.out) == (1, f"error: {line}\n", "")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_bad_steps_rejected_before_the_checkpoint_is_read(
+            self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = [command, "--checkpoint", str(tmp_path / "missing.rbm"),
+                "--out", str(out), "--steps", "4,2"]
+        if command == "eval":
+            args += ["--data", str(tmp_path / "missing-data")]
+        code = main(args)
+        assert (code, capsys.readouterr().err) == (
+            1, "error: --steps must be sorted ascending and nonnegative, "
+               "got [4, 2]\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "sample"])
     def test_seed_outside_64_bits_rejected(self, synthetic_idx_dir, tmp_path,
                                            capsys, command):
@@ -823,14 +910,27 @@ class TestThresholdFromCheckpoint:
 
     @pytest.mark.parametrize("command", ["reconstruct", "eval"])
     def test_no_threshold_flag(self, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--checkpoint", "ck", "--data", "d",
-                  "--threshold", "0.5"])
-        assert exc.value.code == 2
+        for flag in ("--threshold", "--binarize-threshold"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--checkpoint", "ck", "--data", "d",
+                      flag, "0.5"])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["reconstruct", "eval"])
     def test_no_threshold_config_key(self, tmp_path, capsys, command):
         conf = tmp_path / "conf.json"
+        for key in ("threshold", "binarize_threshold"):
+            conf.write_text(json.dumps({key: 0.5}))
+            assert_error_line(main([command, "--config", str(conf)]), capsys,
+                              f"unknown config key {key!r}")
+
+    def test_train_threshold_has_one_name(self, tmp_path, capsys):
+        # --binarize-threshold, with no --threshold alias
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", "d", "--threshold", "0.5"])
+        assert exc.value.code == 2
+        capsys.readouterr()  # argparse's usage text
+        conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"threshold": 0.5}))
-        assert_error_line(main([command, "--config", str(conf)]), capsys,
-                          "unknown config key 'threshold'")
+        assert_error_line(main(["train", "--config", str(conf)]), capsys,
+                          "unknown config key 'threshold' for train")

@@ -201,7 +201,7 @@ TYPED_VALUES = {
     "seed": st.sampled_from([0, 7, 2**64 - 1, 2**64]),
     "learning_rate": st.floats(1e-4, 1.0) | st.floats(),
     "init_std": st.floats(0.0, 1.0) | st.floats(),
-    "threshold": st.floats(0.01, 0.99) | st.floats(),
+    "binarize_threshold": st.floats(0.01, 0.99) | st.floats(),
     "negative_mode": st.sampled_from(["belief_cd0", "cd_k_from_data", "pcd"]),
 }
 ALWAYS = ("epochs", "n_hidden", "batch_size")

@@ -199,7 +199,7 @@ class TestTrain:
     def test_batch_larger_than_training_split_rejected(self):
         # 80 rows less an 8-row held-out fold leave 72 for training
         ds = pattern_spins()
-        with pytest.raises(ValueError, match="holds 72 rows.*batch_size 75"):
+        with pytest.raises(ValueError, match="^batch_size 75 exceeds the 72 rows"):
             fit(ds, small_config(batch_size=75))
 
     def test_error_in_logged_evaluation_diverges(self, monkeypatch):
@@ -408,7 +408,7 @@ class TestCheckpoint:
         path.write_bytes(with_config(path.read_bytes(), config,
                                      sorted(config.__dict__)))
         with pytest.raises(ValueError,
-                           match="ck.rbm: checkpoint config is not a JSON object"):
+                           match="ck.rbm: config must be a JSON object"):
             load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, rng, tmp_path):
