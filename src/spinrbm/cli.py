@@ -4,7 +4,8 @@
 Each option is both a ``--flag`` and a config-file key of the same type
 (``str`` where the default is None, and then the option is required):
 ``--config run.json`` supplies a flat JSON object keyed by option name
-(dashes or underscores).  Explicit CLI flags win over the file, which wins
+(``batch_size``), and a flag is accepted only spelled in full
+(``--batch-size``).  Explicit CLI flags win over the file, which wins
 over the train ``--preset``; ``--preset`` and ``--config`` are
 command-line only.  ``reconstruct`` and ``eval`` binarize their data at
 the threshold recorded in the checkpoint.
@@ -123,6 +124,7 @@ def _resolve(args):
     merged = dict(options)
     if getattr(args, "preset", None):
         merged.update(PRESETS[args.preset])
+    file_conf = {}
     if args.config:
         try:
             file_conf = read_config(Path(args.config).read_text())
@@ -149,6 +151,9 @@ def _resolve(args):
         if args.command == "train":
             merged["config"] = TrainConfig(**{
                 f.name: merged[f.name] for f in fields(TrainConfig)})
+            # a preset's subset caps the rows; a named one must fit them
+            merged["subset_named"] = (args.subset is not None
+                                      or "subset" in file_conf)
     except ValueError as exc:
         raise _flag_error(str(exc)) from None
     return argparse.Namespace(**merged)
@@ -247,6 +252,9 @@ def cmd_train(args):
     config = args.config
     spins, img_path = _load_dataset(args.data, config.binarize_threshold,
                                     subset=args.subset)
+    if args.subset_named and args.subset > len(spins):
+        raise ValueError(f"--subset {args.subset} exceeds the {len(spins)} "
+                         f"images of {img_path}")
     # size and initial-weight errors end the run before --out exists, each
     # naming the flag at fault
     try:
@@ -274,7 +282,8 @@ def cmd_train(args):
         "data": str(img_path),
         "checkpoint": str(checkpoint_path),
         "metrics_csv": str(csv_path),
-        "subset": args.subset,
+        # the rows kept, where a preset's subset exceeds the data
+        "subset": min(args.subset, len(spins)),
         "recon_error_definition": RECON_ERROR_DEFINITION,
         "threads": _thread_setting(args.blas_threads),
         "numpy_version": np.__version__,
@@ -373,11 +382,12 @@ _COMMANDS = {"train": cmd_train, "sample": cmd_sample,
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="rbm",
+    parser = argparse.ArgumentParser(prog="rbm", allow_abbrev=False,
                                      description="Spin RBM trained with CD-0")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__,
+                           allow_abbrev=False)
         for name, default in options.items():
             p.add_argument("--" + name.replace("_", "-"), dest=name,
                            type=str if default is None else type(default),

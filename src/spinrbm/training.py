@@ -49,13 +49,12 @@ def check_option(name, value, default):
 
 
 def read_config(text):
-    """The JSON object of a config file or checkpoint echo, keyed by option
-    name (dashes read as underscores); ValueError for any other JSON value,
-    a key given twice (in either spelling) or nesting too deep to parse."""
+    """The JSON object of a config file or checkpoint echo, keyed by its
+    keys as written; ValueError for any other JSON value, a key given twice
+    or nesting too deep to parse."""
     def options(pairs):
         conf = {}
         for key, value in pairs:
-            key = key.replace("-", "_")
             if key in conf:
                 raise ValueError(f"config key {key!r} given twice")
             conf[key] = value

@@ -53,6 +53,13 @@ OUT_OF_RANGE = [
 ] + [(command, "seed", -1, "--seed must lie in [0, 2**64), got -1")
      for command in OPTIONS]
 
+# a prefix of one flag of each command, and of --config on every command
+# (None: the config file's path), with a value
+PREFIXES = [("train", "--binarize", "0.4"), ("sample", "--chain", "2"),
+            ("reconstruct", "--coun", "2"), ("eval", "--batch", "64"),
+            ("weights", "--cou", "4")] + [
+    (command, "--conf", None) for command in OPTIONS]
+
 # JSON nested 100000 deep, as an array and as an object
 DEEP_JSON = {"array": "[" * 100000 + "]" * 100000,
              "object": '{"a": ' * 100000 + "1" + "}" * 100000}
@@ -197,6 +204,36 @@ class TestTrain:
                      "--out", str(again)]) == 0
         assert run_outputs(again) == run_outputs(first)
 
+    def test_preset_subset_caps_the_rows(self, synthetic_idx_dir, tmp_path):
+        # desk's subset of 10000 keeps the 2000 rows there are, and the
+        # manifest records those, so the run still replays from it
+        first = tmp_path / "first"
+        assert main(["train", "--preset", "desk", "--data",
+                     str(synthetic_idx_dir), "--out", str(first), "--seed",
+                     "3", *TRAIN_FLAGS]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["subset"] == 2000
+        conf = tmp_path / "replay.json"
+        conf.write_text(json.dumps(manifest["config"]))
+        again = tmp_path / "again"
+        assert main(["train", "--config", str(conf), "--data",
+                     manifest["data"], "--subset", str(manifest["subset"]),
+                     "--out", str(again)]) == 0
+        assert run_outputs(again) == run_outputs(first)
+
+    def test_subset_from_config_must_fit_the_images(
+            self, synthetic_idx_dir, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"subset": 2001}))
+        out = tmp_path / "run"
+        code = main(["train", "--preset", "desk", "--data",
+                     str(synthetic_idx_dir), "--out", str(out), *TRAIN_FLAGS,
+                     "--config", str(conf)])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: --subset 2001 exceeds the 2000 images of "
+               f"{synthetic_idx_dir / 'train-images-idx3-ubyte'}\n")
+        assert not out.exists()
+
     def test_every_config_field_is_an_option_of_its_name(self):
         # each TrainConfig field is an rbm train flag and config key of the
         # same name: there is no mapping between the two
@@ -212,7 +249,7 @@ class TestTrain:
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({
             "data": str(synthetic_idx_dir), "out": str(tmp_path / "run"),
-            "n-hidden": 16, "epochs": 3, "batch-size": 128, "eval-batch": 128,
+            "n_hidden": 16, "epochs": 3, "batch_size": 128, "eval_batch": 128,
             "seed": 1}))
         assert main(["train", "--config", str(conf), "--epochs", "1"]) == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -230,18 +267,21 @@ class TestTrain:
         assert_error_line(main(["train", "--config", str(conf)]), capsys,
                           "JSON object")
 
-    @pytest.mark.parametrize("text,key", [
-        ('{"batch_size": 64, "batch-size": 128}', "batch_size"),
-        ('{"epochs": 0, "epochs": 1}', "epochs")], ids=["spellings", "repeat"])
+    @pytest.mark.parametrize("text,reason", [
+        # a key has one spelling, its field name: the dash one is unknown
+        ('{"batch_size": 64, "batch-size": 128}',
+         "unknown config key 'batch-size' for train"),
+        ('{"epochs": 0, "epochs": 1}', "{conf}: config key 'epochs' given twice")],
+        ids=["spellings", "repeat"])
     def test_config_key_given_twice_rejected(self, synthetic_idx_dir, tmp_path,
-                                             capsys, text, key):
+                                             capsys, text, reason):
         conf = tmp_path / "conf.json"
         conf.write_text(text)
         out = tmp_path / "run"
         code = main(["train", "--data", str(synthetic_idx_dir), "--out",
                      str(out), "--config", str(conf)])
         assert (code, capsys.readouterr().err) == (
-            1, f"error: {conf}: config key {key!r} given twice\n")
+            1, f"error: {reason.format(conf=conf)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text", DEEP_JSON.values(), ids=DEEP_JSON)
@@ -299,9 +339,11 @@ class TestTrain:
         ("--epochs", "-1", "--epochs must be >= 0, got -1"),
         ("--subset", "1", "error: --subset 1: need at least 2 samples"),
         ("--subset", "60", "error: --batch-size 128 exceeds the 54 rows"),
+        ("--subset", "2001", "error: --subset 2001 exceeds the 2000 images of "),
         ("--init-std", "1e300", "--init-std")],
         ids=["init_std", "threshold", "n_hidden", "batch_size", "eval_every",
-             "epochs", "subset_1", "subset_60", "init_std_1e300"])
+             "epochs", "subset_1", "subset_60", "subset_2001",
+             "init_std_1e300"])
     def test_bad_value_leaves_no_output(self, synthetic_idx_dir, tmp_path,
                                         capsys, flag, value, reason):
         out = tmp_path / "run"
@@ -316,7 +358,7 @@ class TestTrain:
         data.write_bytes(idx_image_bytes(np.zeros((1, 2, 2))))
         out = tmp_path / "run"
         code = main(["train", "--data", str(data), "--out", str(out),
-                     *TRAIN_FLAGS, "--subset", "5"])
+                     *TRAIN_FLAGS])
         assert_error_line(code, capsys, f"error: {data}: need at least 2 "
                                         "samples for covariance statistics")
         assert not out.exists()
@@ -653,7 +695,11 @@ class TestSample:
     @pytest.mark.parametrize("echo, reason", [
         (DEEP_JSON["array"], "config nests too deep to parse"),
         (json.dumps(TrainConfig(n_hidden=3).__dict__)[:-1] + ', "epochs": 99}',
-         "config key 'epochs' given twice")], ids=["deep", "epochs_twice"])
+         "config key 'epochs' given twice"),
+        (json.dumps(TrainConfig(n_hidden=3).__dict__).replace(
+            '"n_hidden"', '"n-hidden"'),
+         "unknown checkpoint config key 'n-hidden'")],
+        ids=["deep", "epochs_twice", "dash_key"])
     def test_config_echo_read_by_the_config_file_rules(self, tmp_path, capsys,
                                                        echo, reason):
         path = tiny_checkpoint(tmp_path / "ck.rbm")
@@ -865,6 +911,47 @@ class TestOptions:
         code = main(args)
         captured = capsys.readouterr()
         assert (code, captured.err, captured.out) == (1, f"error: {line}\n", "")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name) for command, options in OPTIONS.items()
+        for name in options if "_" in name])
+    def test_config_key_spelled_with_dashes_rejected(self, tmp_path, capsys,
+                                                     command, name):
+        # a config file names each option by its field name alone
+        key = name.replace("_", "-")
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: OPTIONS[command][name]}))
+        out = tmp_path / "out"
+        code = main([command, "--out", str(out), "--config", str(conf)])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: unknown config key {key!r} for {command}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,prefix,value", PREFIXES,
+                             ids=[f"{c}{p}" for c, p, _ in PREFIXES])
+    def test_flag_prefix_is_a_usage_error(
+            self, trained_run, synthetic_idx_dir, tmp_path, capsys, command,
+            prefix, value):
+        # each prefix names one flag alone, and is refused all the same
+        out = tmp_path / "out"
+        conf = tmp_path / "conf.json"
+        conf.write_text("{}")
+        inputs = {"checkpoint": trained_run / "checkpoint.rbm",
+                  "data": synthetic_idx_dir}
+        args = [command, "--out", str(out)]
+        for key in inputs.keys() & OPTIONS[command].keys():
+            args += [f"--{key}", str(inputs[key])]
+        if command == "train":
+            args += TRAIN_FLAGS
+        value = value or str(conf)
+        with pytest.raises(SystemExit) as exc:
+            main([*args, prefix, value])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: rbm ")
+        assert captured.err.endswith(
+            f"error: unrecognized arguments: {prefix} {value}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sample", "eval"])
