@@ -59,7 +59,7 @@ PRESETS = {
     "desk": dict(n_hidden=128, epochs=20, batch_size=256, subset=10000),
 }
 
-_IMAGE_NAMES = ("train-images-idx3-ubyte", "train-images.idx3-ubyte")
+_IMAGE_NAME = "train-images-idx3-ubyte"
 
 # each command's options and their defaults; a None default is required
 OPTIONS = {
@@ -81,34 +81,36 @@ _LEAST = {"subset": 0, "chains": 1, "count": 1, "batch_size": 1}
 
 def _find_idx(data_path):
     p = Path(data_path)
-    if p.is_file():
-        return p
-    for name in _IMAGE_NAMES:
-        for candidate in (p / name, p / (name + ".gz")):
-            if candidate.is_file():
-                return candidate
+    for candidate in (p, p / _IMAGE_NAME, p / (_IMAGE_NAME + ".gz")):
+        if candidate.is_file():
+            return candidate
     return None
 
 
-def _load_dataset(data_path, threshold, subset=0):
+def _load_images(data_path):
     img_path = _find_idx(data_path)
     if img_path is None:
         raise ValueError(f"no IDX image file found under {data_path}")
-    images = load_idx(img_path)
-    if subset:
-        images = images[:subset]
-    return binarize(images, threshold), img_path
+    return load_idx(img_path), img_path
 
 
 def _parse_steps(text):
-    """Step list from "0,1,2" or "0 1 2", ascending and nonnegative."""
+    """Step list from a comma list "0,1,2", ascending and nonnegative."""
     try:
-        steps = [int(s) for s in text.replace(",", " ").split()]
+        steps = [int(s) for s in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"steps {text!r}: {exc}") from None
-    if not steps:
-        raise ValueError(f"steps names no step: {text!r}")
     return check_steps(steps)
+
+
+def _fit(args, name, available, what):
+    """Count option name capped at the available items: a default or
+    preset value is a cap, a value named by a flag or the config file must
+    fit."""
+    value = getattr(args, name)
+    if name in args.named and value > available:
+        raise _flag_error(f"{name} {value} exceeds the {available} {what}")
+    return min(value, available)
 
 
 def _flag_error(text):
@@ -151,11 +153,11 @@ def _resolve(args):
         if args.command == "train":
             merged["config"] = TrainConfig(**{
                 f.name: merged[f.name] for f in fields(TrainConfig)})
-            # a preset's subset caps the rows; a named one must fit them
-            merged["subset_named"] = (args.subset is not None
-                                      or "subset" in file_conf)
     except ValueError as exc:
         raise _flag_error(str(exc)) from None
+    # the options a flag or the config file named, for _fit
+    merged["named"] = file_conf.keys() | {
+        key for key in options if getattr(args, key) is not None}
     return argparse.Namespace(**merged)
 
 
@@ -250,11 +252,11 @@ def _one_malloc_arena():
 def cmd_train(args):
     """train a model from IDX data"""
     config = args.config
-    spins, img_path = _load_dataset(args.data, config.binarize_threshold,
-                                    subset=args.subset)
-    if args.subset_named and args.subset > len(spins):
-        raise ValueError(f"--subset {args.subset} exceeds the {len(spins)} "
-                         f"images of {img_path}")
+    images, img_path = _load_images(args.data)
+    subset = _fit(args, "subset", len(images), f"images of {img_path}")
+    if subset:
+        images = images[:subset]
+    spins = binarize(images, config.binarize_threshold)
     # size and initial-weight errors end the run before --out exists, each
     # naming the flag at fault
     try:
@@ -265,12 +267,9 @@ def cmd_train(args):
         raise _flag_error(f"subset {args.subset}: {exc}") from None
     try:
         holdout_size(len(spins), config)
-    except ValueError as exc:
-        raise _flag_error(str(exc)) from None
-    try:
         model = init_model(stats, config)
     except ValueError as exc:
-        raise _flag_error(f"init_std {config.init_std}: {exc}") from None
+        raise _flag_error(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -283,7 +282,7 @@ def cmd_train(args):
         "checkpoint": str(checkpoint_path),
         "metrics_csv": str(csv_path),
         # the rows kept, where a preset's subset exceeds the data
-        "subset": min(args.subset, len(spins)),
+        "subset": subset,
         "recon_error_definition": RECON_ERROR_DEFINITION,
         "threads": _thread_setting(args.blas_threads),
         "numpy_version": np.__version__,
@@ -331,18 +330,17 @@ def cmd_sample(args):
 def cmd_reconstruct(args):
     """originals vs one-step reconstructions"""
     model, config = load_checkpoint(args.checkpoint)
-    spins, _ = _load_dataset(args.data, config.binarize_threshold)
-    if args.count > len(spins):
-        raise ValueError(
-            f"--count {args.count} exceeds the {len(spins)} rows of the data")
+    images, _ = _load_images(args.data)
+    spins = binarize(images, config.binarize_threshold)
+    count = _fit(args, "count", len(spins), "rows of the data")
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5B)
-    idx = rng.choice(len(spins), size=args.count, replace=False)
+    idx = rng.choice(len(spins), size=count, replace=False)
     originals = spins[idx]
     v_hat = reconstruct(model, originals, rng)
     recon = spins_from_mask(v_hat >= 0)
     tiles = spins_to_gray(originals, side) + spins_to_gray(recon, side)
-    write_pgm(args.out, tile_grid(tiles, 2, args.count))
+    write_pgm(args.out, tile_grid(tiles, 2, count))
     disagree = float(np.mean(originals != recon))
     print(f"wrote {args.out}; mean pixel disagreement {disagree:.4f}")
     return 0
@@ -351,10 +349,12 @@ def cmd_reconstruct(args):
 def cmd_eval(args):
     """reconstruction error vs Gibbs steps"""
     model, config = load_checkpoint(args.checkpoint)
-    spins, _ = _load_dataset(args.data, config.binarize_threshold)
+    images, _ = _load_images(args.data)
+    spins = binarize(images, config.binarize_threshold)
+    batch_size = _fit(args, "batch_size", len(spins), "rows of the data")
     rows = []
-    for k, err, coeff in eval_curve(model, spins, args.batch_size,
-                                    args.steps, args.seed):
+    for k, err, coeff in eval_curve(model, spins, batch_size, args.steps,
+                                    args.seed):
         rows.append((k, repr(err), repr(coeff)))
         print(f"step {k:3d}  recon_error {err:.4f}  energy_coefficient {coeff:.4f}")
     _write_csv(args.out, ["step", "recon_error", "energy_coefficient"], rows)
@@ -366,7 +366,7 @@ def cmd_weights(args):
     model, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5E)
-    count = min(args.count, model.n_h)
+    count = _fit(args, "count", model.n_h, "hidden units of the checkpoint")
     cols = rng.choice(model.n_h, size=count, replace=False)
     n_cols = math.isqrt(count)
     n_rows = -(-count // n_cols)

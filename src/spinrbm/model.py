@@ -81,18 +81,15 @@ def check_float32_range(arr, name):
 
 
 def check_spins(arr, n_units=None, name="batch"):
-    """Validate a non-empty batch of +/-1 rows, a vector being one row, and
-    return it as a 2-D int8 array (copies only if needed)."""
+    """Validate a non-empty matrix of +/-1 rows and return it as an int8
+    array (copies only if needed)."""
     try:
         arr = np.asarray(arr)
     except ValueError:  # numpy's "inhomogeneous shape" for a ragged list
         raise ValueError(f"{name}: rows of unequal width") from None
-    if arr.ndim == 0:
-        raise ValueError(f"{name}: expected an array of spins, got a scalar")
-    if arr.ndim > 2:
-        raise ValueError(f"{name}: expected a vector or a matrix of spins, "
+    if arr.ndim != 2:
+        raise ValueError(f"{name}: expected a matrix of spin rows, "
                          f"got shape {arr.shape}")
-    arr = np.atleast_2d(arr)
     if arr.size == 0:
         raise ValueError(f"{name}: empty batch, shape {arr.shape}")
     if n_units is not None and arr.shape[1] != n_units:

@@ -53,6 +53,19 @@ OUT_OF_RANGE = [
 ] + [(command, "seed", -1, "--seed must lie in [0, 2**64), got -1")
      for command in OPTIONS]
 
+# each count option named one beyond what its input holds (2000 synthetic
+# images, a 32-hidden checkpoint), with the error line it ends in ({data}:
+# the IDX file)
+BEYOND_INPUT = [
+    ("train", "subset", 2001, "--subset 2001 exceeds the 2000 images of {data}"),
+    ("reconstruct", "count", 2001,
+     "--count 2001 exceeds the 2000 rows of the data"),
+    ("eval", "batch_size", 2001,
+     "--batch-size 2001 exceeds the 2000 rows of the data"),
+    ("weights", "count", 33,
+     "--count 33 exceeds the 32 hidden units of the checkpoint"),
+]
+
 # a prefix of one flag of each command, and of --config on every command
 # (None: the config file's path), with a value
 PREFIXES = [("train", "--binarize", "0.4"), ("sample", "--chain", "2"),
@@ -351,6 +364,40 @@ class TestTrain:
                      str(out), *TRAIN_FLAGS, flag, value])
         assert_error_line(code, capsys, reason)
         assert not out.exists()
+
+    def test_too_many_hidden_units_name_n_hidden(self, synthetic_idx_dir,
+                                                 tmp_path, capsys):
+        # whatever --init-std says: the W that cannot be drawn is its size
+        out = tmp_path / "run"
+        for init_std in ("0.1", "0"):
+            code = main(["train", "--data", str(synthetic_idx_dir), "--out",
+                         str(out), "--n-hidden", "100000000000000000000",
+                         "--batch-size", "64", "--init-std", init_std])
+            assert (code, capsys.readouterr().err) == (
+                1, "error: --n-hidden 100000000000000000000: Maximum allowed "
+                   "dimension exceeded\n")
+            assert not out.exists()
+
+    def test_one_image_file_name_in_a_directory(self, synthetic_idx_dir,
+                                                tmp_path, capsys):
+        # train-images.idx3-ubyte (a dot for the dash), raw or gzipped, is
+        # not looked for in a directory, but loads when named as the file
+        blob = (synthetic_idx_dir / "train-images-idx3-ubyte").read_bytes()
+        out = tmp_path / "run"
+        for name, data in (("train-images.idx3-ubyte", blob),
+                           ("train-images.idx3-ubyte.gz", gzip.compress(blob))):
+            folder = tmp_path / name.replace(".", "_")
+            folder.mkdir()
+            (folder / name).write_bytes(data)
+            code = main(["train", "--data", str(folder), "--out", str(out),
+                         *TRAIN_FLAGS])
+            assert (code, capsys.readouterr().err) == (
+                1, f"error: no IDX image file found under {folder}\n")
+            assert not out.exists()
+        assert main(["train", "--data", str(folder / name), "--out", str(out),
+                     *TRAIN_FLAGS, "--epochs", "0"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["data"] == str(folder / name)
 
     def test_too_few_rows_name_the_file(self, tmp_path, capsys):
         # no --subset cut the rows: the error names the data file
@@ -911,6 +958,71 @@ class TestOptions:
         code = main(args)
         captured = capsys.readouterr()
         assert (code, captured.err, captured.out) == (1, f"error: {line}\n", "")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,name,value,line", BEYOND_INPUT,
+        ids=[f"{command}-{name}" for command, name, _, _ in BEYOND_INPUT])
+    def test_named_count_beyond_its_input_rejected(
+            self, trained_run, synthetic_idx_dir, tmp_path, capsys, command,
+            name, value, line, source):
+        out = tmp_path / "out"
+        inputs = {"checkpoint": trained_run / "checkpoint.rbm",
+                  "data": synthetic_idx_dir}
+        args = [command, "--out", str(out)]
+        for key in inputs.keys() & OPTIONS[command].keys():
+            args += [f"--{key}", str(inputs[key])]
+        if source == "flag":
+            args += [f"--{name.replace('_', '-')}", str(value)]
+        else:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({name: value}))
+            args += ["--config", str(conf)]
+        code = main(args)
+        line = line.format(data=synthetic_idx_dir / "train-images-idx3-ubyte")
+        assert (code, capsys.readouterr().err) == (1, f"error: {line}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,name", [
+        ("reconstruct", "count"), ("eval", "batch_size"),
+        ("weights", "count")])
+    def test_default_count_caps_at_its_input(self, trained_run, tmp_path,
+                                             command, name):
+        # 10 images and 32 hidden units: the default count (16, 1024, 64)
+        # writes what the count of the input itself writes
+        data = tmp_path / "img"
+        images, _ = synthetic_digits(np.random.default_rng(3), 10)
+        data.write_bytes(idx_image_bytes(images))
+        args = [command, "--checkpoint", str(trained_run / "checkpoint.rbm")]
+        if "data" in OPTIONS[command]:
+            args += ["--data", str(data)]
+        available = 32 if command == "weights" else 10
+        default, given = tmp_path / "default", tmp_path / "given"
+        assert main([*args, "--out", str(default)]) == 0
+        assert main([*args, "--out", str(given),
+                     f"--{name.replace('_', '-')}", str(available)]) == 0
+        assert default.read_bytes() == given.read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_steps_separated_by_spaces_rejected(self, tmp_path, capsys,
+                                                command, source):
+        # --steps is a comma list, read before the checkpoint is
+        out = tmp_path / "out"
+        args = [command, "--checkpoint", str(tmp_path / "missing.rbm"),
+                "--out", str(out)]
+        if command == "eval":
+            args += ["--data", str(tmp_path / "missing-data")]
+        if source == "flag":
+            args += ["--steps", "0 1"]
+        else:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"steps": "0 1"}))
+            args += ["--config", str(conf)]
+        assert (main(args), capsys.readouterr().err) == (
+            1, "error: --steps '0 1': invalid literal for int() with base "
+               "10: '0 1'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,name", [

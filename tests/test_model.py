@@ -271,9 +271,11 @@ def test_spin_arguments_rejected_at_the_boundary(arg, width, call):
     if width:
         with pytest.raises(ValueError):
             call(np.ones((2, width + 1), dtype=np.int8))
-    with pytest.raises(ValueError, match=f"^{arg}: .*scalar"):
-        call(1)
     with pytest.raises(ValueError, match=f"^{arg}: empty batch"):
         call(np.ones((0, n), dtype=np.int8))
-    with pytest.raises(ValueError, match=f"^{arg}: expected a vector or a matrix"):
-        call(np.ones((2, 1, n), dtype=np.int8))
+    # a scalar, one row as a vector and a 3-D stack are no matrix
+    for x, shape in ((1, r"\(\)"), (np.ones(n, dtype=np.int8), rf"\({n},\)"),
+                     (np.ones((2, 1, n), dtype=np.int8), rf"\(2, 1, {n}\)")):
+        with pytest.raises(ValueError, match=f"^{arg}: expected a matrix of "
+                                             f"spin rows, got shape {shape}$"):
+            call(x)

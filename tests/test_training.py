@@ -61,6 +61,18 @@ class TestInitModel:
         m = init_model(stats, small_config(n_hidden=2, init_std=0.1, seed=0))
         assert m.stats is stats and np.array_equal(m.mu, mu)
 
+    @pytest.mark.parametrize("field,value,reason", [
+        ("n_hidden", 10**20, "Maximum allowed dimension exceeded"),
+        ("n_hidden", 2**62, "array is too big"),
+        ("init_std", 1e300, "W entries must be finite and within float32 "
+                            "range")])
+    def test_error_begins_with_the_field_at_fault(self, field, value, reason):
+        # no array is allocated: each W is refused before or after the draw
+        config = small_config(**{field: value})
+        with pytest.raises(ValueError) as exc:
+            init_model(stats_at(np.zeros(5)), config)
+        assert str(exc.value).startswith(f"{field} {value}: {reason}")
+
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
