@@ -320,9 +320,14 @@ def cmd_sample(args):
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, 0x5A)
     rows = []
-    for _, v in gibbs_chain(model, args.chains, args.steps, rng):
-        rows.extend(spins_to_gray(v, side))
-    write_pgm(args.out, tile_grid(rows, len(args.steps), args.chains))
+    try:  # every array drawn or tiled here scales with the chain count
+        for _, v in gibbs_chain(model, args.chains, args.steps, rng):
+            rows.extend(spins_to_gray(v, side))
+        grid = tile_grid(rows, len(args.steps), args.chains)
+    except MemoryError as exc:
+        raise _flag_error(f"chains {args.chains}: "
+                          f"{str(exc) or 'out of memory'}") from None
+    write_pgm(args.out, grid)
     print(f"wrote {args.out}: {len(args.steps)} rows x {args.chains} chains")
     return 0
 

@@ -194,12 +194,6 @@ def add_model_phase(model, data_part, model_batch):
     return _add_moments(model, data_part, model_batch, np.full(n_m, 1.0 / n_m))
 
 
-def nll_gradient(model, data_batch, model_batch):
-    """Stochastic NLL gradient: model-phase average minus data-phase average,
-    each model row weighing 1/n_m."""
-    return add_model_phase(model, data_phase(model, data_batch), model_batch)
-
-
 def exact_nll_gradient(model, data_batch):
     """NLL gradient with the model phase computed by exact enumeration
     (weights p(v) over all visible states).  Tiny models only."""

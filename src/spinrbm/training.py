@@ -143,12 +143,13 @@ class TrainingDiverged(RuntimeError):
 def init_model(stats, config):
     """Fresh model on data with these stats: W ~ N(0, init_std^2), b = 0.
     A ValueError begins with the field at fault: n_hidden for a W too large
-    to draw, init_std for W entries beyond float32 range."""
+    to draw (its shape, or the memory numpy refuses it), init_std for W
+    entries beyond float32 range."""
     n_v = stats.mu.shape[0]
     rng = make_rng(config.seed, _STREAM_INIT)
     try:
         W = rng.normal(0.0, config.init_std, size=(n_v, config.n_hidden))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"n_hidden {config.n_hidden}: {exc}") from None
     try:
         return RbmModel(W=W, b=np.zeros(n_v), stats=stats)

@@ -1,6 +1,7 @@
 """Shared fixtures: random tiny models, synthetic IDX files, brute-force
 oracles kept deliberately independent of the library code paths."""
 
+import importlib.util
 import itertools
 import json
 import math
@@ -109,30 +110,14 @@ def read_pgm(path):
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
 
 
-# --- synthetic IDX data ---
+# --- synthetic IDX data: the benchmark's digit generator, loaded by path ---
 
-def idx_image_bytes(images):
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    return struct.pack(">IIII", 0x803, n, rows, cols) + images.tobytes()
-
-
-def synthetic_digits(rng, n, side=28, n_templates=10, flip=0.05):
-    """Digit-like binary images: smooth random blob templates plus flip noise."""
-    yy, xx = np.mgrid[0:side, 0:side]
-    templates = []
-    for _ in range(n_templates):
-        img = np.zeros((side, side))
-        for _ in range(3):
-            cy, cx = rng.uniform(side * 0.2, side * 0.8, 2)
-            r = rng.uniform(side * 0.1, side * 0.25)
-            img += np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * r ** 2)))
-        templates.append((img > np.median(img)).astype(np.uint8) * 255)
-    templates = np.stack(templates)
-    labels = rng.integers(0, n_templates, n)
-    images = templates[labels]
-    noisy = rng.random(images.shape) < flip
-    return np.where(noisy, 255 - images, images).astype(np.uint8), labels
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_inputs)
+idx_image_bytes = _inputs.idx_image_bytes
+synthetic_digits = _inputs.synthetic_digits
 
 
 @pytest.fixture
@@ -143,9 +128,7 @@ def rng():
 def write_synthetic_idx(directory):
     """Write an IDX train image file of 2000 synthetic digit-like images
     into directory; returns the directory."""
-    gen = np.random.default_rng(99)
-    images, _ = synthetic_digits(gen, 2000)
-    (directory / "train-images-idx3-ubyte").write_bytes(idx_image_bytes(images))
+    _inputs.write_digit_idx(directory, 99, 2000)
     return directory
 
 

@@ -7,8 +7,8 @@ from conftest import (brute_hidden_mean, brute_nll, brute_visible_probs,
                       random_model, random_spins, stats_at)
 from spinrbm.data import compute_stats
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error, reconstruct
-from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
-                           exact_visible_marginal, nll_gradient)
+from spinrbm.model import (RbmModel, add_model_phase, data_phase, exact_nll,
+                           exact_nll_gradient, exact_visible_marginal)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_hidden, sample_visible
 from spinrbm.training import TrainConfig, train
 
@@ -34,14 +34,14 @@ class TestHiddenMean:
 
     def test_zero_field_is_zero(self):
         m = RbmModel(W=np.zeros((3, 2)), b=np.zeros(3), stats=stats_at(np.zeros(3)))
-        d_W = nll_gradient(m, [[1, -1, 1]], [[-1, 1, 1]]).d_W
+        d_W = add_model_phase(m, data_phase(m, [[1, -1, 1]]), [[-1, 1, 1]]).d_W
         assert d_W == pytest.approx(np.zeros((3, 2)))
 
     def test_saturation(self):
         # <h|u> = tanh(0) = 0 and <h|v> = tanh(100) = 1
         m = RbmModel(W=np.full((2, 1), 50.0), b=np.zeros(2),
                      stats=stats_at(np.zeros(2)))
-        d_W = nll_gradient(m, [[1, -1]], [[1, 1]]).d_W
+        d_W = add_model_phase(m, data_phase(m, [[1, -1]]), [[1, 1]]).d_W
         assert d_W == pytest.approx(np.ones((2, 1)))
 
     @staticmethod
@@ -49,7 +49,8 @@ class TestHiddenMean:
         u, v = random_spins(rng, m.n_v), random_spins(rng, m.n_v)
         expected = (np.outer(v - m.mu, brute_hidden_mean(m, v))
                     - np.outer(u - m.mu, brute_hidden_mean(m, u)))
-        assert nll_gradient(m, [u], [v]).d_W == pytest.approx(expected)
+        d_W = add_model_phase(m, data_phase(m, [u]), [v]).d_W
+        assert d_W == pytest.approx(expected)
 
     def test_matches_enumeration(self, rng):
         for _ in range(5):
@@ -151,14 +152,14 @@ class TestGradient:
     def test_matched_batches_zero(self, rng):
         m = random_model(rng, 5, 3)
         batch = random_spins(rng, (7, 5))
-        g = nll_gradient(m, batch, batch)
+        g = add_model_phase(m, data_phase(m, batch), batch)
         assert np.allclose(g.d_b, 0) and np.allclose(g.d_W, 0)
 
     def test_opposite_constant_batches(self):
         m = RbmModel(W=np.zeros((4, 2)), b=np.zeros(4), stats=stats_at(np.zeros(4)))
         data = np.ones((3, 4), dtype=np.int8)
         neg = -np.ones((3, 4), dtype=np.int8)
-        g = nll_gradient(m, data, neg)
+        g = add_model_phase(m, data_phase(m, data), neg)
         assert g.d_b == pytest.approx(-2 * np.ones(4))
 
     def test_matches_two_phase_reference(self):
@@ -175,7 +176,7 @@ class TestGradient:
                 return v.mean(axis=0), vc.T @ np.tanh(vc @ m.W) / v.shape[0]
 
             (b_d, W_d), (b_m, W_m) = phase(data), phase(neg)
-            g = nll_gradient(m, data, neg)
+            g = add_model_phase(m, data_phase(m, data), neg)
             assert np.abs(g.d_b - (b_m - b_d)).max() < 1e-12
             assert np.abs(g.d_W - (W_m - W_d)).max() < 1e-12
 
@@ -243,8 +244,9 @@ _SPIN_ARGUMENTS = [
     ("sample_hidden", "v", 3, lambda x: sample_hidden(_M, x, make_rng(0))),
     ("sample_visible", "h", 2, lambda x: sample_visible(_M, x, make_rng(0))),
     ("gibbs_steps", "v0", 3, lambda x: gibbs_steps(_M, x, 1, make_rng(0))),
-    ("nll_gradient_data", "data_batch", 3, lambda x: nll_gradient(_M, x, _V)),
-    ("nll_gradient_model", "model_batch", 3, lambda x: nll_gradient(_M, _V, x)),
+    ("data_phase", "data_batch", 3, lambda x: data_phase(_M, x)),
+    ("add_model_phase", "model_batch", 3,
+     lambda x: add_model_phase(_M, data_phase(_M, _V), x)),
     ("exact_nll", "dataset", 3, lambda x: exact_nll(_M, x)),
     ("exact_nll_gradient", "data_batch", 3, lambda x: exact_nll_gradient(_M, x)),
     ("energy_coefficient_x", "x", 3, lambda x: energy_coefficient(x, _V)),

@@ -14,7 +14,7 @@ from conftest import random_model, random_spins
 from spinrbm import workers
 from spinrbm.data import compute_stats
 from spinrbm.metrics import energy_coefficient, reconstruct
-from spinrbm.model import nll_gradient
+from spinrbm.model import add_model_phase, data_phase
 from spinrbm.sampling import make_rng, sample_hidden, sample_visible
 
 
@@ -167,7 +167,7 @@ class TestRowSplitEdges:
         assert energy_coefficient(x, y) == pytest.approx(expected, abs=1e-12)
         assert energy_coefficient(x, x) == pytest.approx(0.0, abs=1e-12)
 
-    def test_nll_gradient(self, rows, rng):
+    def test_data_and_model_phase(self, rows, rng):
         m = random_model(rng, 6, 3, centered=False)
         data = random_spins(rng, (3, 6))
         neg = random_spins(rng, (rows, 6))
@@ -177,7 +177,7 @@ class TestRowSplitEdges:
             return v.mean(axis=0), vc.T @ np.tanh(vc @ m.W) / v.shape[0]
 
         (b_d, W_d), (b_m, W_m) = phase(data), phase(neg)
-        g = nll_gradient(m, data, neg)
+        g = add_model_phase(m, data_phase(m, data), neg)
         assert np.abs(g.d_b - (b_m - b_d)).max() < 1e-12
         assert np.abs(g.d_W - (W_m - W_d)).max() < 1e-12
 
