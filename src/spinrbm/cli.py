@@ -48,10 +48,9 @@ from .metrics import (RECON_ERROR_DEFINITION, eval_curve,  # noqa: E402
                       reconstruct)
 from .model import spins_from_mask  # noqa: E402
 from .sampling import check_steps, gibbs_chain, make_rng  # noqa: E402
-from .training import (NEGATIVE_MODES, TrainConfig,  # noqa: E402
-                       TrainingDiverged, check_option, holdout_size,
-                       init_model, load_checkpoint, read_config,
-                       save_checkpoint, train)
+from .training import (TrainConfig, TrainingDiverged,  # noqa: E402
+                       check_option, holdout_size, init_model,
+                       load_checkpoint, read_config, save_checkpoint, train)
 
 # what each preset changes; the option defaults are the paper's settings
 PRESETS = {
@@ -60,6 +59,11 @@ PRESETS = {
 }
 
 _IMAGE_NAME = "train-images-idx3-ubyte"
+
+# rng stream tags of rbm sample, reconstruct and weights
+_STREAM_SAMPLE = 0x5A
+_STREAM_RECONSTRUCT = 0x5B
+_STREAM_WEIGHTS = 0x5E
 
 # each command's options and their defaults; a None default is required
 OPTIONS = {
@@ -74,7 +78,6 @@ OPTIONS = {
     "weights": dict(checkpoint=None, out="weights.pgm", count=64, seed=0),
 }
 
-_CHOICES = {"negative_mode": NEGATIVE_MODES}
 # the least value of each option that has one; TrainConfig checks its own
 _LEAST = {"subset": 0, "chains": 1, "count": 1, "batch_size": 1}
 
@@ -318,7 +321,7 @@ def cmd_sample(args):
     """sample-evolution grid from a checkpoint"""
     model, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
-    rng = make_rng(args.seed, 0x5A)
+    rng = make_rng(args.seed, _STREAM_SAMPLE)
     rows = []
     try:  # every array drawn or tiled here scales with the chain count
         for _, v in gibbs_chain(model, args.chains, args.steps, rng):
@@ -339,7 +342,7 @@ def cmd_reconstruct(args):
     spins = binarize(images, config.binarize_threshold)
     count = _fit(args, "count", len(spins), "rows of the data")
     side = _image_side(model.n_v)
-    rng = make_rng(args.seed, 0x5B)
+    rng = make_rng(args.seed, _STREAM_RECONSTRUCT)
     idx = rng.choice(len(spins), size=count, replace=False)
     originals = spins[idx]
     v_hat = reconstruct(model, originals, rng)
@@ -352,7 +355,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_eval(args):
-    """reconstruction error vs Gibbs steps"""
+    """recon error of the chains' own samples, and energy coefficient, vs
+    Gibbs steps (metrics.csv's recon_error is of held-out data rows)"""
     model, config = load_checkpoint(args.checkpoint)
     images, _ = _load_images(args.data)
     spins = binarize(images, config.binarize_threshold)
@@ -370,7 +374,7 @@ def cmd_weights(args):
     """tile a random subset of weight columns"""
     model, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
-    rng = make_rng(args.seed, 0x5E)
+    rng = make_rng(args.seed, _STREAM_WEIGHTS)
     count = _fit(args, "count", model.n_h, "hidden units of the checkpoint")
     cols = rng.choice(model.n_h, size=count, replace=False)
     n_cols = math.isqrt(count)
@@ -396,7 +400,6 @@ def build_parser():
         for name, default in options.items():
             p.add_argument("--" + name.replace("_", "-"), dest=name,
                            type=str if default is None else type(default),
-                           choices=_CHOICES.get(name),
                            help="required" if default is None
                            else f"default {default}")
         if command == "train":

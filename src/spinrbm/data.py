@@ -21,6 +21,8 @@ IDX_MAGIC_IMAGES = 0x00000803
 # this many rows, never the whole dataset
 _ROWS = 4096
 
+_STREAM_MINIBATCH = 0x6D696E69  # rng stream tag of the minibatch order
+
 
 @dataclass(frozen=True)
 class DataStats:
@@ -150,14 +152,14 @@ def _gram(spins):
 def minibatches(spins, batch_size, seed, epoch):
     """Yield the epoch's minibatches of rows under a seeded permutation.
 
-    Only the row count of spins is read.  The permutation depends only on
-    (seed, epoch).  The final short batch is kept.
+    Only the row count of spins is read; batch_size must lie in [1, rows].
+    The permutation depends only on (seed, epoch); the last short batch stays.
     """
     n = len(spins)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if batch_size > n:
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
-    order = make_rng(seed, 0x6D696E69, epoch).permutation(n)
+    order = make_rng(seed, _STREAM_MINIBATCH, epoch).permutation(n)
     for lo in range(0, n, batch_size):
         yield spins[order[lo:lo + batch_size]]

@@ -16,7 +16,8 @@ import numpy as np
 
 from .workers import split_rows
 
-# exact_nll refuses models beyond this many total units (~16M joint states)
+# the exact oracles' bound on n_v + n_h: their table of the 2^n_v visible
+# states holds at most 2^23 rows (n_h >= 1) of n_v + n_h float64 entries
 ENUMERATION_LIMIT = 24
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -121,7 +122,6 @@ def _exact_visible_table(model):
     The hidden spins sum out in closed form:
     log sum_h exp(-U(v, h)) = b.(v - mu) + sum_i log 2cosh(phi_i), with
     phi = W^T (v - mu); log Z is the log-sum-exp of that over all v.
-    Tiny models only (n_v + n_h <= 24).
     """
     total = model.n_v + model.n_h
     if total > ENUMERATION_LIMIT:
@@ -138,7 +138,7 @@ def _exact_visible_table(model):
 
 def exact_nll(model, dataset):
     """Average negative log-likelihood -<log p(v)> over the dataset rows,
-    by exact enumeration.  Tiny models only (n_v + n_h <= 24)."""
+    exact, from the 2^n_v visible states (_exact_visible_table)."""
     dataset = check_spins(dataset, model.n_v, "dataset")
     _, log_p = _exact_visible_table(model)
     index = (dataset > 0) @ (1 << np.arange(model.n_v))
@@ -195,8 +195,8 @@ def add_model_phase(model, data_part, model_batch):
 
 
 def exact_nll_gradient(model, data_batch):
-    """NLL gradient with the model phase computed by exact enumeration
-    (weights p(v) over all visible states).  Tiny models only."""
+    """NLL gradient with the model phase exact: the moments of all 2^n_v
+    visible states weighted by p(v) (_exact_visible_table)."""
     data_part = data_phase(model, data_batch)
     V, log_p = _exact_visible_table(model)
     return _add_moments(model, data_part, V, np.exp(log_p))

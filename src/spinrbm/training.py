@@ -1,8 +1,8 @@
 """CD-0 training loop with Adam, plus binary checkpointing.
 
-The negative phase never starts from data in the default mode: every
-minibatch draws a fresh batch from belief generation with zero Gibbs
-refinement.  A conventional CD-k-from-data mode is kept as a baseline.
+TrainConfig.k alone picks the negative phase: at k = 0, the default and
+the paper's CD-0, each minibatch draws a fresh batch by belief generation,
+never from data; at k >= 1 it is k Gibbs sweeps from the data batch (CD-k).
 """
 
 import json
@@ -23,11 +23,9 @@ from .sampling import belief_generate, gibbs_steps, make_rng
 from .workers import pair
 
 CHECKPOINT_MAGIC = b"RBM0"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
-NEGATIVE_MODES = ("belief_cd0", "cd_k_from_data")
-
-# rng stream tags, disjoint across the pipeline
+# rng stream tags; every _STREAM_* tag of the package is distinct
 _STREAM_INIT = 0xA1
 _STREAM_NEG = 0xA2
 _STREAM_METRIC = 0xA3
@@ -77,8 +75,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     init_std: float = 0.1
     seed: int = 0
-    negative_mode: str = "belief_cd0"
-    k: int = 1
+    k: int = 0
     binarize_threshold: float = 0.5
     eval_every: int = 1
     eval_batch: int = 1024
@@ -106,9 +103,6 @@ class TrainConfig:
                              f"got {self.learning_rate}")
         if not 0 <= self.init_std < math.inf:
             raise ValueError(f"init_std must be finite and >= 0, got {self.init_std}")
-        if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(f"negative_mode must be one of {NEGATIVE_MODES}, "
-                             f"got {self.negative_mode!r}")
         if not 0 < self.binarize_threshold < 1:  # NaN fails too
             raise ValueError("binarize_threshold must lie in (0, 1), "
                              f"got {self.binarize_threshold}")
@@ -229,7 +223,7 @@ def _split_holdout(spins, config):
 
 
 def _negative_batch(model, data_batch, config, rng):
-    if config.negative_mode == "belief_cd0":
+    if config.k == 0:
         return belief_generate(model, data_batch.shape[0], rng)
     return gibbs_steps(model, data_batch, config.k, rng)
 
@@ -239,7 +233,7 @@ def train(spins, model, config, on_epoch=None):
     trained model, which carries the same data statistics, and the metrics.
 
     Positive phase from each data minibatch; negative phase from belief
-    generation (CD-0) or k Gibbs sweeps off the data batch, per config.
+    generation at config.k = 0 (CD-0), else k Gibbs sweeps off the batch.
     Each step draws its negative batch on the worker thread while the
     caller forms the data phase, then forms the model phase in two row
     halves (spinrbm.workers).

@@ -554,8 +554,8 @@ class TestTrain:
         # overflow it
         out = tmp_path / "run"
         code = main(["train", "--data", str(synthetic_idx_dir), "--out",
-                     str(out), *TRAIN_FLAGS, "--negative-mode",
-                     "cd_k_from_data", "--learning-rate", "1e37"])
+                     str(out), *TRAIN_FLAGS, "--k", "1",
+                     "--learning-rate", "1e37"])
         assert (code, capsys.readouterr().err) == (
             1, "error: training diverged: epoch 1 batch 1: hidden field "
                "overflows float32\n")
@@ -810,10 +810,10 @@ class TestSample:
         # magic, version, checksum, n_v, n_h, b, W, mu, sigma, the config
         # length and the config echo
         blob = tiny_checkpoint(tmp_path / "ck.rbm").read_bytes()
-        crc = "checksum mismatch: header holds f5f5be56"
+        crc = "checksum mismatch: header holds c5a4313b"
         for at, reason in ((0, "bad checkpoint magic b'SBM0'"),
-                           (5, "unsupported checkpoint version 259"),
-                           (8, "checksum mismatch: header holds f5f5be57"),
+                           (5, "unsupported checkpoint version 260"),
+                           (8, "checksum mismatch: header holds c5a4313a"),
                            (12, "config block size mismatch at offset 424"),
                            (17, "checkpoint truncated at offset 52"),
                            (20, crc), (60, crc), (170, crc), (300, crc),
@@ -860,6 +860,8 @@ class TestSample:
         version_1.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
         version_2 = tmp_path / "version_2.rbm"
         version_2.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        version_3 = tmp_path / "version_3.rbm"
+        version_3.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
         for bad, reason in (
                 (truncated, "checkpoint truncated at offset 20"),
                 (unknown, "unknown checkpoint config key 'bogus'"),
@@ -868,7 +870,8 @@ class TestSample:
                 (mismatch, "checkpoint config key 'n_hidden' is 5, header n_h "
                            "is 3"),
                 (version_1, "unsupported checkpoint version 1"),
-                (version_2, "unsupported checkpoint version 2")):
+                (version_2, "unsupported checkpoint version 2"),
+                (version_3, "unsupported checkpoint version 3")):
             refuse(["sample", "--checkpoint", f"{{tmp}}/{bad.name}"], None,
                    f"{{tmp}}/{bad.name}: {reason}")
 

@@ -202,7 +202,6 @@ TYPED_VALUES = {
     "learning_rate": st.floats(1e-4, 1.0) | st.floats(),
     "init_std": st.floats(0.0, 1.0) | st.floats(),
     "binarize_threshold": st.floats(0.01, 0.99) | st.floats(),
-    "negative_mode": st.sampled_from(["belief_cd0", "cd_k_from_data", "pcd"]),
 }
 ALWAYS = ("epochs", "n_hidden", "batch_size")
 # a typed config with up to two keys of the train options set to any value

@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spinrbm
 from conftest import (brute_visible_probs, random_model, random_spins, stats_at,
                       synthetic_digits)
 from spinrbm.data import DataStats, binarize, compute_stats
@@ -376,3 +379,17 @@ def test_make_rng_rejects_seed_outside_64_bits():
     top = 2 ** 64 - 1
     assert make_rng(top).random() == \
         np.random.Generator(np.random.SFC64(np.random.SeedSequence(top))).random()
+
+
+def test_stream_tags_of_the_package_are_distinct():
+    # each module names its make_rng stream tags _STREAM_*: two draws keyed
+    # by one seed and one tag would share a stream
+    tags = {}
+    for info in pkgutil.iter_modules(spinrbm.__path__):
+        module = importlib.import_module(f"spinrbm.{info.name}")
+        tags.update({f"{info.name}.{name}": value
+                     for name, value in vars(module).items()
+                     if name.startswith("_STREAM_")})
+    assert {"cli._STREAM_SAMPLE", "data._STREAM_MINIBATCH",
+            "metrics._STREAM_CHAIN", "training._STREAM_NEG"} <= tags.keys()
+    assert len(set(tags.values())) == len(tags), tags

@@ -204,9 +204,21 @@ class TestTrain:
 
     def test_cd_k_mode_runs(self):
         ds = pattern_spins()
-        config = small_config(epochs=2, negative_mode="cd_k_from_data", k=2)
+        config = small_config(epochs=2, k=2)
         model, metrics = fit(ds, config)
         assert np.all(np.isfinite(model.W)) and metrics
+
+    def test_k_alone_picks_the_negative_phase(self):
+        # k = 0, the default, draws each negative batch by belief
+        # generation; k >= 1 runs k Gibbs sweeps from the data batch, so
+        # each k trains its own weights
+        assert TrainConfig() == TrainConfig(k=0)
+        ds = pattern_spins()
+        default, _ = fit(ds, small_config(epochs=2))
+        weights = [fit(ds, small_config(epochs=2, k=k))[0].W.tobytes()
+                   for k in (0, 1, 2)]
+        assert default.W.tobytes() == weights[0]
+        assert len(set(weights)) == 3
 
     def test_batch_larger_than_training_split_rejected(self):
         # 80 rows less an 8-row held-out fold leave 72 for training
@@ -232,9 +244,9 @@ class TestTrain:
         assert exc.value.model.W.shape == (8, 4)
 
 
-    @pytest.mark.parametrize("mode", ["belief_cd0", "cd_k_from_data"])
+    @pytest.mark.parametrize("k", [0, 1], ids=["belief_cd0", "cd_k_from_data"])
     def test_error_of_negative_phase_on_worker_diverges_as_on_caller(
-            self, monkeypatch, mode):
+            self, monkeypatch, k):
         # 72 training rows in batches of 8: the 12th step is epoch 2 batch 2.
         # The negative phase runs on the worker thread and the data phase on
         # the caller; an error in either ends training the same way
@@ -258,7 +270,7 @@ class TestTrain:
                     getattr(spinrbm.training, name)))
                 with pytest.raises(TrainingDiverged,
                                    match="^epoch 2 batch 2: injected$") as exc:
-                    fit(pattern_spins(), small_config(negative_mode=mode))
+                    fit(pattern_spins(), small_config(k=k))
             runs.append(exc.value)
         negative_threads, data_threads = threads
         assert threading.main_thread() not in negative_threads
@@ -401,7 +413,7 @@ class TestCheckpoint:
         ("epochs", math.nan, "an int"), ("k", math.nan, "an int"),
         ("eval_batch", 2.5, "an int"), ("seed", True, "an int"),
         ("seed", 1.5, "an int"), ("epochs", "3", "an int"),
-        ("learning_rate", "0.1", "a float"), ("negative_mode", 1, "a str")])
+        ("learning_rate", "0.1", "a float")])
     def test_config_value_of_wrong_type_rejected(self, rng, tmp_path, key,
                                                   value, noun):
         model, config = self._random_state(rng)
@@ -460,10 +472,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(learning_rate=0)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            small_config(negative_mode="pcd")
-
     @pytest.mark.parametrize("field", ["learning_rate", "init_std"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
@@ -478,8 +486,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("n_hidden", 0), ("epochs", -1), ("batch_size", 0), ("k", -1),
         ("eval_every", 0), ("eval_batch", 0), ("learning_rate", 0.0),
-        ("init_std", -1.0), ("negative_mode", "pcd"),
-        ("binarize_threshold", 2.0), ("seed", -1)])
+        ("init_std", -1.0), ("binarize_threshold", 2.0), ("seed", -1)])
     def test_error_begins_with_its_field(self, field, value):
         # rbm train swaps the field in front of the message for its flag
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -489,8 +496,7 @@ class TestConfigValidation:
         ("epochs", math.nan, "an int"), ("eval_batch", 2.5, "an int"),
         ("seed", True, "an int"), ("n_hidden", "8", "an int"),
         ("k", np.float64(1.0), "an int"), ("learning_rate", "0.1", "a float"),
-        ("init_std", None, "a float"), ("binarize_threshold", False, "a float"),
-        ("negative_mode", 0, "a str")])
+        ("init_std", None, "a float"), ("binarize_threshold", False, "a float")])
     def test_value_of_wrong_type_rejected(self, field, value, noun):
         message = f"{field} must be {noun}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
