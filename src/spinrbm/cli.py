@@ -81,20 +81,25 @@ OPTIONS = {
 # the least value of each option that has one; TrainConfig checks its own
 _LEAST = {"subset": 0, "chains": 1, "count": 1, "batch_size": 1}
 
+# what an option's value picks, where --help says more than its default
+_PICKS = {"k": "; 0 is belief-generated CD-0, K >= 1 is CD-K from the data "
+               "batch"}
 
-def _find_idx(data_path):
+
+def _load_images(data_path, n_v=None):
+    """The images of the IDX file data_path or of _IMAGE_NAME[.gz] in it,
+    and the file's path; with a checkpoint's n_v, of n_v pixels each."""
     p = Path(data_path)
-    for candidate in (p, p / _IMAGE_NAME, p / (_IMAGE_NAME + ".gz")):
-        if candidate.is_file():
-            return candidate
-    return None
-
-
-def _load_images(data_path):
-    img_path = _find_idx(data_path)
-    if img_path is None:
+    for img_path in (p, p / _IMAGE_NAME, p / (_IMAGE_NAME + ".gz")):
+        if img_path.is_file():
+            break
+    else:
         raise ValueError(f"no IDX image file found under {data_path}")
-    return load_idx(img_path), img_path
+    images = load_idx(img_path)
+    if n_v is not None and images[0].size != n_v:
+        raise ValueError(f"{img_path}: images of {images[0].size} pixels, "
+                         f"the checkpoint has {n_v} visible units")
+    return images, img_path
 
 
 def _parse_steps(text):
@@ -322,11 +327,10 @@ def cmd_sample(args):
     model, _ = load_checkpoint(args.checkpoint)
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, _STREAM_SAMPLE)
-    rows = []
     try:  # every array drawn or tiled here scales with the chain count
-        for _, v in gibbs_chain(model, args.chains, args.steps, rng):
-            rows.extend(spins_to_gray(v, side))
-        grid = tile_grid(rows, len(args.steps), args.chains)
+        tiles = np.concatenate([spins_to_gray(v, side) for _, v in gibbs_chain(
+            model, args.chains, args.steps, rng)])
+        grid = tile_grid(tiles, args.chains)
     except MemoryError as exc:
         raise _flag_error(f"chains {args.chains}: "
                           f"{str(exc) or 'out of memory'}") from None
@@ -338,7 +342,7 @@ def cmd_sample(args):
 def cmd_reconstruct(args):
     """originals vs one-step reconstructions"""
     model, config = load_checkpoint(args.checkpoint)
-    images, _ = _load_images(args.data)
+    images, _ = _load_images(args.data, model.n_v)
     spins = binarize(images, config.binarize_threshold)
     count = _fit(args, "count", len(spins), "rows of the data")
     side = _image_side(model.n_v)
@@ -347,8 +351,8 @@ def cmd_reconstruct(args):
     originals = spins[idx]
     v_hat = reconstruct(model, originals, rng)
     recon = spins_from_mask(v_hat >= 0)
-    tiles = spins_to_gray(originals, side) + spins_to_gray(recon, side)
-    write_pgm(args.out, tile_grid(tiles, 2, count))
+    tiles = spins_to_gray(np.concatenate([originals, recon]), side)
+    write_pgm(args.out, tile_grid(tiles, count))
     disagree = float(np.mean(originals != recon))
     print(f"wrote {args.out}; mean pixel disagreement {disagree:.4f}")
     return 0
@@ -358,7 +362,7 @@ def cmd_eval(args):
     """recon error of the chains' own samples, and energy coefficient, vs
     Gibbs steps (metrics.csv's recon_error is of held-out data rows)"""
     model, config = load_checkpoint(args.checkpoint)
-    images, _ = _load_images(args.data)
+    images, _ = _load_images(args.data, model.n_v)
     spins = binarize(images, config.binarize_threshold)
     batch_size = _fit(args, "batch_size", len(spins), "rows of the data")
     rows = []
@@ -378,10 +382,9 @@ def cmd_weights(args):
     count = _fit(args, "count", model.n_h, "hidden units of the checkpoint")
     cols = rng.choice(model.n_h, size=count, replace=False)
     n_cols = math.isqrt(count)
-    n_rows = -(-count // n_cols)
     tiles = rescale_to_gray(model.W[:, cols].T, side)
-    write_pgm(args.out, tile_grid(tiles, n_rows, n_cols))
-    print(f"wrote {args.out}: {n_rows}x{n_cols} weight tiles")
+    write_pgm(args.out, tile_grid(tiles, n_cols))
+    print(f"wrote {args.out}: {-(-count // n_cols)}x{n_cols} weight tiles")
     return 0
 
 
@@ -401,7 +404,7 @@ def build_parser():
             p.add_argument("--" + name.replace("_", "-"), dest=name,
                            type=str if default is None else type(default),
                            help="required" if default is None
-                           else f"default {default}")
+                           else f"default {default}{_PICKS.get(name, '')}")
         if command == "train":
             p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", help="JSON file of option values")

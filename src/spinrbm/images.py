@@ -9,43 +9,35 @@ PAD_VALUE = 128
 
 
 def spins_to_gray(spins, side):
-    """Map a batch of spin vectors to uint8 tiles: -1 -> 0, +1 -> 255."""
+    """Map a batch of spin vectors to an (n, side, side) uint8 tile stack:
+    -1 -> 0, +1 -> 255."""
     spins = np.asarray(spins, dtype=np.int16)
-    tiles = ((spins.reshape(-1, side, side) + 1) // 2 * 255).astype(np.uint8)
-    return list(tiles)
+    return ((spins.reshape(-1, side, side) + 1) // 2 * 255).astype(np.uint8)
 
 
 def rescale_to_gray(values, side):
-    """Per-tile linear rescale of real-valued vectors to 0-255; a constant
-    tile (zero range) maps to mid-gray."""
-    values = np.asarray(values, dtype=np.float64)
-    tiles = []
-    for row in values.reshape(-1, side * side):
-        lo, hi = row.min(), row.max()
-        if hi - lo == 0:
-            tile = np.full((side, side), PAD_VALUE, dtype=np.uint8)
-        else:
-            tile = np.round((row - lo) / (hi - lo) * 255).astype(np.uint8)
-            tile = tile.reshape(side, side)
-        tiles.append(tile)
-    return tiles
+    """Rescale each real-valued row linearly onto 0-255, as an (n, side,
+    side) uint8 tile stack; a constant row (zero range) maps to mid-gray."""
+    rows = np.asarray(values, dtype=np.float64).reshape(-1, side * side)
+    lo = rows.min(axis=1, keepdims=True)
+    span = rows.max(axis=1, keepdims=True) - lo
+    unit = np.divide(rows - lo, span, where=span > 0,
+                     out=np.full_like(rows, PAD_VALUE / 255))
+    return np.round(unit * 255).astype(np.uint8).reshape(-1, side, side)
 
 
-def tile_grid(tiles, n_rows, n_cols):
-    """Assemble tiles row-major into one image with 1-px padding (value 128)
-    between and around tiles; cells past the last tile stay at 128."""
-    if len(tiles) > n_rows * n_cols:
-        raise ValueError(f"{len(tiles)} tiles exceed a {n_rows}x{n_cols} grid")
-    th, tw = tiles[0].shape
-    height = n_rows * th + (n_rows + 1) * PAD
-    width = n_cols * tw + (n_cols + 1) * PAD
-    grid = np.full((height, width), PAD_VALUE, dtype=np.uint8)
-    for idx, tile in enumerate(tiles):
-        r, c = divmod(idx, n_cols)
-        y = PAD + r * (th + PAD)
-        x = PAD + c * (tw + PAD)
-        grid[y:y + th, x:x + tw] = tile
-    return grid
+def tile_grid(tiles, n_cols):
+    """Lay an (n, th, tw) tile stack out row-major, n_cols to a row, in as
+    many rows as the n tiles fill, with 1-px padding (value 128) between and
+    around tiles; cells past the last tile stay at 128."""
+    n, th, tw = tiles.shape
+    n_rows = -(-n // n_cols)
+    # a cell is a tile with the padding above and left of it
+    cells = np.pad(tiles, ((0, n_rows * n_cols - n), (PAD, 0), (PAD, 0)),
+                   constant_values=PAD_VALUE)
+    rows = cells.reshape(n_rows, n_cols, th + PAD, tw + PAD).swapaxes(1, 2)
+    return np.pad(rows.reshape(n_rows * (th + PAD), n_cols * (tw + PAD)),
+                  ((0, PAD), (0, PAD)), constant_values=PAD_VALUE)
 
 
 def write_pgm(path, image):
@@ -55,4 +47,3 @@ def write_pgm(path, image):
         raise ValueError("PGM output requires a 2-D image")
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
     atomic_write_bytes(path, header + image.tobytes())
-

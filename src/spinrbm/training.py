@@ -200,12 +200,13 @@ def adam_step(state, grads, lr, params):
 
 
 def holdout_size(n, config):
-    """Rows of the held-out fold of an n-row dataset.
+    """Rows of the held-out fold of an n-row dataset: a tenth of the rows,
+    at least one and at most eval_batch.
 
     Raises ValueError, beginning with batch_size, when the training split
     left over is smaller than one batch.
     """
-    n_hold = min(config.eval_batch, n // 10)
+    n_hold = max(1, min(config.eval_batch, n // 10))
     if n - n_hold < config.batch_size:
         raise ValueError(
             f"batch_size {config.batch_size} exceeds the {n - n_hold} rows "
@@ -214,10 +215,9 @@ def holdout_size(n, config):
 
 
 def _split_holdout(spins, config):
-    """Deterministic (train, held-out) row split; held-out rows log metrics only."""
+    """Deterministic (train, held-out) row split, the fold of holdout_size
+    rows; the held-out rows log metrics only and are never trained on."""
     n_hold = holdout_size(len(spins), config)
-    if n_hold == 0:
-        return spins, spins  # tiny dataset: log metrics on train data
     order = make_rng(config.seed, _STREAM_SPLIT).permutation(len(spins))
     return spins[order[n_hold:]], spins[order[:n_hold]]
 
@@ -237,7 +237,8 @@ def train(spins, model, config, on_epoch=None):
     Each step draws its negative batch on the worker thread while the
     caller forms the data phase, then forms the model phase in two row
     halves (spinrbm.workers).
-    Metrics are logged on a held-out fold every eval_every epochs.
+    Metrics are logged every eval_every epochs on a held-out fold of a
+    tenth of the rows, at least one and at most eval_batch, never trained on.
     ``on_epoch(record)`` is invoked at each logged epoch.
     """
     spins = check_spins(spins, name="spins")
@@ -286,11 +287,9 @@ def train(spins, model, config, on_epoch=None):
 
 def _evaluate(model, holdout, config, epoch, t0):
     rng = make_rng(config.seed, _STREAM_METRIC, epoch)
-    n = min(config.eval_batch, holdout.shape[0])
-    data_batch = holdout[:n]
-    gen = belief_generate(model, n, rng)
-    coeff = energy_coefficient(data_batch, gen)
-    err = recon_error(model, data_batch, rng)
+    gen = belief_generate(model, holdout.shape[0], rng)
+    coeff = energy_coefficient(holdout, gen)
+    err = recon_error(model, holdout, rng)
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     return MetricsRecord(epoch=epoch, energy_coefficient=coeff,
                          recon_error=err, wall_ms=wall_ms)

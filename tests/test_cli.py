@@ -110,9 +110,9 @@ def wrong_types(name, default):
 
 # (test id, argv, config file text or None, error line): each case ends in
 # exit code 1 and that one stderr line, with no --out left behind.  In argv
-# and the line, {data}, {checkpoint}, {tmp} and {conf} stand for the
-# synthetic IDX directory, the trained checkpoint, the test's directory
-# and the config file.  An id test[param] is one case of a parametrized
+# and the line, {data}, {narrow}, {checkpoint}, {tmp} and {conf} stand for
+# the synthetic IDX directory, an IDX file of 20x20 digits, the trained
+# checkpoint, the test's directory and the config file.  An id test[param] is one case of a parametrized
 # test; the rows of one id run in turn.
 REFUSALS = [
     ("TestTrain::test_missing_data_fails_closed",
@@ -201,6 +201,12 @@ REFUSALS = [
       for count, line in [
           ("0", "--count must be >= 1, got 0"),
           ("5000", "--count 5000 exceeds the 2000 rows of the data")]],
+    # images of 400 pixels against the checkpoint's 784 visible units,
+    # refused where the data is read, before any row is binarized or drawn
+    *[(f"Test{owner}::test_data_of_the_wrong_width_names_its_file",
+       [command, "--checkpoint", "{checkpoint}", "--data", "{narrow}"], None,
+       "{narrow}: images of 400 pixels, the checkpoint has 784 visible units")
+      for command, owner in (("eval", "Eval"), ("reconstruct", "Reconstruct"))],
     *[("TestEval::test_empty_steps_rejected",
        ["eval", *INPUTS["eval"], "--steps", steps], None, line)
       for steps, line in [
@@ -336,12 +342,22 @@ def trained_run(digits, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def narrow_digits(tmp_path_factory):
+    """An IDX file of 50 synthetic 20x20 digits, made once per module."""
+    path = tmp_path_factory.mktemp("narrow") / "narrow-images-idx3-ubyte"
+    images, _ = synthetic_digits(np.random.default_rng(20), 50, side=20)
+    path.write_bytes(idx_image_bytes(images))
+    return path
+
+
 @pytest.fixture
-def refuse(digits, trained_run, tmp_path, capsys):
+def refuse(digits, narrow_digits, trained_run, tmp_path, capsys):
     """The one runner of a refusal: main(argv), with --out and the config
     file of the given text, must end in exit code 1 and the one stderr line
     error: <line>, print nothing and leave no --out behind (see REFUSALS)."""
-    places = {"data": digits, "checkpoint": trained_run / "checkpoint.rbm",
+    places = {"data": digits, "narrow": narrow_digits,
+              "checkpoint": trained_run / "checkpoint.rbm",
               "tmp": tmp_path, "conf": tmp_path / "conf.json"}
     out = tmp_path / "out"
 
@@ -360,6 +376,16 @@ def refuse(digits, trained_run, tmp_path, capsys):
 
 @refusal_tests
 class TestTrain:
+    def test_help_says_what_k_picks(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        lines = [" ".join(line.split())
+                 for line in capsys.readouterr().out.splitlines()]
+        assert exc.value.code == 0
+        assert ("--k K default 0; 0 is belief-generated CD-0, K >= 1 is CD-K "
+                "from the data batch") in lines
+
     def test_outputs_produced(self, trained_run):
         assert (trained_run / "checkpoint.rbm").is_file()
         assert (trained_run / "metrics.csv").is_file()

@@ -24,22 +24,21 @@ def test_rescale_spans_full_range():
 
 
 def test_tile_grid_geometry():
-    tiles = [np.zeros((3, 3), dtype=np.uint8)] * 6
-    grid = tile_grid(tiles, 2, 3)
+    tiles = np.zeros((6, 3, 3), dtype=np.uint8)
+    grid = tile_grid(tiles, 3)
     assert grid.shape == (2 * 3 + 3, 3 * 3 + 4)
     assert grid[0, 0] == PAD_VALUE  # border padding
 
 
 def test_tile_count_mismatch():
-    tiles = [np.zeros((2, 2), dtype=np.uint8)] * 3
-    with pytest.raises(ValueError, match="5 tiles exceed a 2x2 grid"):
-        tile_grid(tiles + tiles[:2], 2, 2)
-    # a short last row: the cell past the last tile stays padding
-    grid = tile_grid(tiles, 2, 2)
+    tiles = np.repeat(np.arange(3, dtype=np.uint8), 4).reshape(3, 2, 2)
+    # a short last row: the cell past the last tile stays padding, and
+    # tile i lies in row-major cell i
+    grid = tile_grid(tiles, 2)
     assert grid.shape == (7, 7)
     assert np.all(grid[4:6, 4:6] == PAD_VALUE)
-    for y, x in ((1, 1), (1, 4), (4, 1)):
-        assert np.all(grid[y:y + 2, x:x + 2] == 0)
+    for i, (y, x) in enumerate(((1, 1), (1, 4), (4, 1))):
+        assert np.all(grid[y:y + 2, x:x + 2] == i)
 
 
 def test_pgm_roundtrip(tmp_path):

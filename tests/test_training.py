@@ -226,6 +226,31 @@ class TestTrain:
         with pytest.raises(ValueError, match="^batch_size 75 exceeds the 72 rows"):
             fit(ds, small_config(batch_size=75))
 
+    def test_held_out_fold_of_a_tiny_dataset_is_never_trained_on(
+            self, monkeypatch):
+        # 5 rows hold no tenth, and the fold is still one row: the metrics
+        # are scored on it alone, never on the rows the model trains on
+        ds = 2 * np.eye(5, 8, dtype=np.int8) - 1  # 5 distinct rows
+        seen = {}
+        real_batches = spinrbm.training.minibatches
+        real_evaluate = spinrbm.training._evaluate
+
+        def batches(spins, *args):
+            seen["train"] = spins
+            return real_batches(spins, *args)
+
+        def evaluate(model, holdout, *args):
+            seen["held_out"] = holdout
+            return real_evaluate(model, holdout, *args)
+
+        monkeypatch.setattr(spinrbm.training, "minibatches", batches)
+        monkeypatch.setattr(spinrbm.training, "_evaluate", evaluate)
+        fit(ds, small_config(epochs=1, batch_size=4))
+        trained = {row.tobytes() for row in seen["train"]}
+        held_out = {row.tobytes() for row in seen["held_out"]}
+        assert (len(trained), len(held_out)) == (4, 1)
+        assert not trained & held_out
+
     def test_error_in_logged_evaluation_diverges(self, monkeypatch):
         # a sampler covariance or field that overflows float32 in the
         # held-out evaluation ends training, with the metrics logged before
