@@ -7,8 +7,7 @@ Each option is both a ``--flag`` and a config-file key of the same type
 (``batch_size``), and a flag is accepted only spelled in full
 (``--batch-size``).  Explicit CLI flags win over the file, which wins
 over the train ``--preset``; ``--preset`` and ``--config`` are
-command-line only.  ``reconstruct`` and ``eval`` binarize their data at
-the threshold recorded in the checkpoint.
+command-line only.
 
 ``rbm`` runs BLAS on one thread and splits its work over two workers in a
 fixed way (``spinrbm.workers``), so its output bytes depend neither on the
@@ -264,9 +263,9 @@ def cmd_train(args):
     subset = _fit(args, "subset", len(images), f"images of {img_path}")
     if subset:
         images = images[:subset]
-    spins = binarize(images, config.binarize_threshold)
-    # size and initial-weight errors end the run before --out exists, each
-    # naming the flag at fault
+    spins = binarize(images)
+    # size errors end the run before --out exists, each naming the flag at
+    # fault
     try:
         stats = compute_stats(spins)  # too few rows
     except ValueError as exc:
@@ -341,9 +340,9 @@ def cmd_sample(args):
 
 def cmd_reconstruct(args):
     """originals vs one-step reconstructions"""
-    model, config = load_checkpoint(args.checkpoint)
+    model, _ = load_checkpoint(args.checkpoint)
     images, _ = _load_images(args.data, model.n_v)
-    spins = binarize(images, config.binarize_threshold)
+    spins = binarize(images)
     count = _fit(args, "count", len(spins), "rows of the data")
     side = _image_side(model.n_v)
     rng = make_rng(args.seed, _STREAM_RECONSTRUCT)
@@ -361,9 +360,9 @@ def cmd_reconstruct(args):
 def cmd_eval(args):
     """recon error of the chains' own samples, and energy coefficient, vs
     Gibbs steps (metrics.csv's recon_error is of held-out data rows)"""
-    model, config = load_checkpoint(args.checkpoint)
+    model, _ = load_checkpoint(args.checkpoint)
     images, _ = _load_images(args.data, model.n_v)
-    spins = binarize(images, config.binarize_threshold)
+    spins = binarize(images)
     batch_size = _fit(args, "batch_size", len(spins), "rows of the data")
     rows = []
     for k, err, coeff in eval_curve(model, spins, batch_size, args.steps,

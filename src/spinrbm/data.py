@@ -93,13 +93,9 @@ def load_idx(path):
     return data.reshape(dims)
 
 
-def binarize(images, threshold=0.5):
-    """Map uint8 images to int8 spin rows: +1 where pixel/255 > threshold.
-
-    pixel/255 rises with the pixel: the +1 pixels are those >= one cutoff.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
+def binarize(images):
+    """Map uint8 images to int8 spin rows: +1 where the pixel is >= 128,
+    which is pixel/255 > 0.5, else -1."""
     try:
         images = np.asarray(images)
     except ValueError:  # numpy's "inhomogeneous shape" for a ragged list
@@ -108,8 +104,7 @@ def binarize(images, threshold=0.5):
         raise ValueError("images: expected an array of images, got a scalar")
     if images.dtype != np.uint8:
         raise ValueError(f"binarize takes uint8 pixels, got {images.dtype}")
-    cutoff = int(np.count_nonzero(np.arange(256) / 255.0 <= threshold))
-    above = images.reshape(images.shape[0], math.prod(images.shape[1:])) >= cutoff
+    above = images.reshape(images.shape[0], math.prod(images.shape[1:])) >= 128
     if above.size == 0:
         raise ValueError(f"spins: empty batch, shape {above.shape}")
     return spins_from_mask(above)

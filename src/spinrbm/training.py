@@ -3,6 +3,8 @@
 TrainConfig.k alone picks the negative phase: at k = 0, the default and
 the paper's CD-0, each minibatch draws a fresh batch by belief generation,
 never from data; at k >= 1 it is k Gibbs sweeps from the data batch (CD-k).
+The initial weight scale is fixed (INIT_STD), and the held-out metrics are
+logged at every epoch.
 """
 
 import json
@@ -23,7 +25,10 @@ from .sampling import belief_generate, gibbs_steps, make_rng
 from .workers import pair
 
 CHECKPOINT_MAGIC = b"RBM0"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+
+# standard deviation of the initial weights, W ~ N(0, INIT_STD^2)
+INIT_STD = 0.1
 
 # rng stream tags; every _STREAM_* tag of the package is distinct
 _STREAM_INIT = 0xA1
@@ -73,11 +78,8 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 1024
     learning_rate: float = 1e-3
-    init_std: float = 0.1
     seed: int = 0
     k: int = 0
-    binarize_threshold: float = 0.5
-    eval_every: int = 1
     eval_batch: int = 1024
 
     def __post_init__(self):
@@ -94,18 +96,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie within float range, got "
                                  "a number beyond it") from None
         for name, least in (("n_hidden", 1), ("epochs", 0), ("batch_size", 1),
-                            ("k", 0), ("eval_every", 1), ("eval_batch", 1)):
+                            ("k", 0), ("eval_batch", 1)):
             if getattr(self, name) < least:
                 raise ValueError(
                     f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0, "
                              f"got {self.learning_rate}")
-        if not 0 <= self.init_std < math.inf:
-            raise ValueError(f"init_std must be finite and >= 0, got {self.init_std}")
-        if not 0 < self.binarize_threshold < 1:  # NaN fails too
-            raise ValueError("binarize_threshold must lie in (0, 1), "
-                             f"got {self.binarize_threshold}")
         make_rng(self.seed)  # "seed must lie in [0, 2**64), ..."
 
 
@@ -135,20 +132,16 @@ class TrainingDiverged(RuntimeError):
 
 
 def init_model(stats, config):
-    """Fresh model on data with these stats: W ~ N(0, init_std^2), b = 0.
-    A ValueError begins with the field at fault: n_hidden for a W too large
-    to draw (its shape, or the memory numpy refuses it), init_std for W
-    entries beyond float32 range."""
+    """Fresh model on data with these stats: W ~ N(0, INIT_STD^2), b = 0.
+    A W too large to draw (its shape, or the memory numpy refuses it) is a
+    ValueError that begins with n_hidden."""
     n_v = stats.mu.shape[0]
     rng = make_rng(config.seed, _STREAM_INIT)
     try:
-        W = rng.normal(0.0, config.init_std, size=(n_v, config.n_hidden))
+        W = rng.normal(0.0, INIT_STD, size=(n_v, config.n_hidden))
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"n_hidden {config.n_hidden}: {exc}") from None
-    try:
-        return RbmModel(W=W, b=np.zeros(n_v), stats=stats)
-    except ValueError as exc:
-        raise ValueError(f"init_std {config.init_std}: {exc}") from None
+    return RbmModel(W=W, b=np.zeros(n_v), stats=stats)
 
 
 # Adam hyperparameters (Kingma & Ba, 2015)
@@ -237,9 +230,9 @@ def train(spins, model, config, on_epoch=None):
     Each step draws its negative batch on the worker thread while the
     caller forms the data phase, then forms the model phase in two row
     halves (spinrbm.workers).
-    Metrics are logged every eval_every epochs on a held-out fold of a
-    tenth of the rows, at least one and at most eval_batch, never trained on.
-    ``on_epoch(record)`` is invoked at each logged epoch.
+    Metrics are logged at every epoch on a held-out fold of a tenth of the
+    rows, at least one and at most eval_batch, never trained on.
+    ``on_epoch(record)`` is invoked at each epoch.
     """
     spins = check_spins(spins, name="spins")
     if model.W.shape != (spins.shape[1], config.n_hidden):
@@ -268,19 +261,18 @@ def train(spins, model, config, on_epoch=None):
                 raise TrainingDiverged(
                     f"epoch {epoch} batch {i}: {exc}", model, metrics) from exc
 
-        if epoch % config.eval_every == 0 or epoch == config.epochs:
-            try:
-                record = _evaluate(model, holdout, config, epoch, t0)
-            except ValueError as exc:  # a sampler covariance or field overflows
-                raise TrainingDiverged(
-                    f"epoch {epoch}: {exc}", model, metrics) from exc
-            if not (np.isfinite(record.energy_coefficient)
-                    and np.isfinite(record.recon_error)):
-                raise TrainingDiverged(
-                    f"epoch {epoch}: non-finite metric", model, metrics)
-            metrics.append(record)
-            if on_epoch is not None:
-                on_epoch(record)
+        try:
+            record = _evaluate(model, holdout, config, epoch, t0)
+        except ValueError as exc:  # a sampler covariance or field overflows
+            raise TrainingDiverged(
+                f"epoch {epoch}: {exc}", model, metrics) from exc
+        if not (np.isfinite(record.energy_coefficient)
+                and np.isfinite(record.recon_error)):
+            raise TrainingDiverged(
+                f"epoch {epoch}: non-finite metric", model, metrics)
+        metrics.append(record)
+        if on_epoch is not None:
+            on_epoch(record)
 
     return model, metrics
 

@@ -25,8 +25,7 @@ from spinrbm.sampling import gibbs_steps, make_rng, sample_phi
 from spinrbm.training import (TrainConfig, init_model, load_checkpoint,
                               save_checkpoint, train)
 
-DESK = dict(n_hidden=128, epochs=20, batch_size=256, learning_rate=1e-3,
-            init_std=0.1)
+DESK = dict(n_hidden=128, epochs=20, batch_size=256, learning_rate=1e-3)
 DESK_SUBSET = 10000
 EVAL_STEPS = [0, 2, 4, 8, 16, 32]
 
@@ -131,7 +130,7 @@ def test_criterion_4_energy_coefficient_calibration():
 def _run_desk(spins):
     # numpy loaded first in this process: BLAS on one thread, as in rbm, so
     # that its threads do not compete with the two workers for the cores
-    config = TrainConfig(seed=7, eval_every=5, **DESK)
+    config = TrainConfig(seed=7, **DESK)
     with _one_blas_thread():
         model, _ = train(spins, init_model(compute_stats(spins), config),
                          config)
@@ -198,8 +197,7 @@ def test_criterion_7_determinism(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         code = main(["train", "--preset", "desk", "--seed", "7",
-                     "--data", str(data_dir), "--out", str(out),
-                     "--eval-every", "5"])
+                     "--data", str(data_dir), "--out", str(out)])
         assert code == 0
         # the wall_ms column is wall-clock measurement, not computation
         # output; it is stripped before the byte comparison

@@ -38,13 +38,9 @@ OUT_OF_RANGE = [
     ("train", "epochs", -1, "--epochs must be >= 0, got -1"),
     ("train", "batch_size", 0, "--batch-size must be >= 1, got 0"),
     ("train", "k", -1, "--k must be >= 0, got -1"),
-    ("train", "eval_every", 0, "--eval-every must be >= 1, got 0"),
     ("train", "eval_batch", 0, "--eval-batch must be >= 1, got 0"),
     ("train", "learning_rate", -0.5,
      "--learning-rate must be finite and > 0, got -0.5"),
-    ("train", "init_std", -0.5, "--init-std must be finite and >= 0, got -0.5"),
-    ("train", "binarize_threshold", -0.5,
-     "--binarize-threshold must lie in (0, 1), got -0.5"),
     ("sample", "chains", 0, "--chains must be >= 1, got 0"),
     ("sample", "steps", "-1",
      "--steps must be sorted ascending and nonnegative, got [-1]"),
@@ -70,11 +66,14 @@ BEYOND_INPUT = [
 ]
 
 # a prefix of one flag of each command, and of --config on every command
-# (None: the config file's path), with a value
-PREFIXES = [("train", "--binarize", "0.4"), ("sample", "--chain", "2"),
+# ({conf}: the config file's path), with a value
+PREFIXES = [("train", "--learning", "0.002"), ("sample", "--chain", "2"),
             ("reconstruct", "--coun", "2"), ("eval", "--batch", "64"),
             ("weights", "--cou", "4")] + [
-    (command, "--conf", None) for command in OPTIONS]
+    (command, "--conf", "{conf}") for command in OPTIONS]
+
+# the rbm train options that became constants, each at the value it had
+REMOVED = {"init_std": 0.1, "eval_every": 1, "binarize_threshold": 0.5}
 
 # JSON nested 100000 deep, as an array and as an object
 DEEP_JSON = {"array": "[" * 100000 + "]" * 100000,
@@ -90,6 +89,11 @@ SAMPLE_TINY = ["sample", "--checkpoint", "{tmp}/ck.rbm"]
 MISSING = {"sample": ["--checkpoint", "{tmp}/missing.rbm"],
            "eval": ["--checkpoint", "{tmp}/missing.rbm",
                     "--data", "{tmp}/missing-data"]}
+
+
+class Usage(str):
+    """A refusal's error line that argparse prints, after its usage text,
+    and ends in exit code 2 (see REFUSALS)."""
 
 
 def named(command, name, value, source):
@@ -109,7 +113,8 @@ def wrong_types(name, default):
 
 
 # (test id, argv, config file text or None, error line): each case ends in
-# exit code 1 and that one stderr line, with no --out left behind.  In argv
+# exit code 1 and that one stderr line (a Usage line: exit code 2 and
+# argparse's usage text before it), with no --out left behind.  In argv
 # and the line, {data}, {narrow}, {checkpoint}, {tmp} and {conf} stand for
 # the synthetic IDX directory, an IDX file of 20x20 digits, the trained
 # checkpoint, the test's directory and the config file.  An id test[param] is one case of a parametrized
@@ -150,13 +155,8 @@ REFUSALS = [
      '{"subset": -5}', "--subset must be >= 0 (0 = all), got -5"),
     *[(f"TestTrain::test_bad_value_leaves_no_output[{case}]",
        [*TRAIN, flag, value], None, line) for case, flag, value, line in [
-        ("init_std", "--init-std", "nan",
-         "--init-std must be finite and >= 0, got nan"),
-        ("threshold", "--binarize-threshold", "1.5",
-         "--binarize-threshold must lie in (0, 1), got 1.5"),
         ("n_hidden", "--n-hidden", "0", "--n-hidden must be >= 1, got 0"),
         ("batch_size", "--batch-size", "0", "--batch-size must be >= 1, got 0"),
-        ("eval_every", "--eval-every", "0", "--eval-every must be >= 1, got 0"),
         ("epochs", "--epochs", "-1", "--epochs must be >= 0, got -1"),
         ("subset_1", "--subset", "1",
          "--subset 1: need at least 2 samples for covariance statistics"),
@@ -164,23 +164,25 @@ REFUSALS = [
          "--batch-size 128 exceeds the 54 rows the training split holds "
          "after the held-out fold"),
         ("subset_2001", "--subset", "2001", "--subset 2001 exceeds the 2000 "
-         "images of {data}/train-images-idx3-ubyte"),
-        ("init_std_1e300", "--init-std", "1e300", "--init-std 1e+300: W "
-         "entries must be finite and within float32 range")]],
-    # whatever --init-std says: the W that cannot be drawn is its size, or
-    # the memory it needs (6.12 PiB, which numpy refuses at once)
+         "images of {data}/train-images-idx3-ubyte")]],
+    # the W that cannot be drawn names its size, or the memory it needs
+    # (6.12 PiB, which numpy refuses at once)
     *[("TestTrain::test_too_many_hidden_units_name_n_hidden",
        ["train", "--data", "{data}", "--n-hidden", n_hidden, "--batch-size",
-        "64", "--init-std", init_std], None, f"--n-hidden {n_hidden}: {reason}")
-      for n_hidden, init_std, reason in [
-          ("100000000000000000000", "0.1", "Maximum allowed dimension exceeded"),
-          ("100000000000000000000", "0", "Maximum allowed dimension exceeded"),
-          ("1099511627776", "0.1", "Unable to allocate 6.12 PiB for an array "
+        "64"], None, f"--n-hidden {n_hidden}: {reason}")
+      for n_hidden, reason in [
+          ("100000000000000000000", "Maximum allowed dimension exceeded"),
+          ("1099511627776", "Unable to allocate 6.12 PiB for an array "
            "with shape (784, 1099511627776) and data type float64")]],
-    # any warning fails the suite, so this also pins that none is printed
-    ("TestTrain::test_initial_weights_beyond_float32_range_rejected",
-     [*TRAIN, "--init-std", "1e300"], None,
-     "--init-std 1e+300: W entries must be finite and within float32 range"),
+    # the options that became constants, even at the value each had: a flag
+    # argparse does not know, a config key rbm train does not know
+    *[row for key, value in REMOVED.items() for flag in [
+        "--" + key.replace("_", "-")] for row in [
+        (f"TestTrain::test_removed_option_refused[{key}-flag]",
+         [*TRAIN, flag, str(value)], None,
+         Usage(f"unrecognized arguments: {flag} {value}")),
+        (f"TestTrain::test_removed_option_refused[{key}-config]", TRAIN,
+         json.dumps({key: value}), f"unknown config key {key!r} for train")]],
     # a step that is not an integer, a chain count below one, and one whose
     # hidden fields (1.11 EiB) numpy refuses at once
     *[("TestSample::test_empty_steps_rejected",
@@ -251,6 +253,12 @@ REFUSALS = [
        f"unknown config key {name.replace('_', '-')!r} for {command}")
       for command, options in OPTIONS.items()
       for name, default in options.items() if "_" in name],
+    # each prefix names one flag alone, and is refused all the same
+    *[(f"TestOptions::test_flag_prefix_is_a_usage_error[{command}{prefix}]",
+       [command, *INPUTS[command], *(TRAIN_FLAGS if command == "train" else []),
+        prefix, value], None,
+       Usage(f"unrecognized arguments: {prefix} {value}"))
+      for command, prefix, value in PREFIXES],
     *[(f"TestOptions::test_bad_steps_rejected_before_the_checkpoint_is_read"
        f"[{command}]", [command, *MISSING[command], "--steps", "4,2"], None,
        "--steps must be sorted ascending and nonnegative, got [4, 2]")
@@ -259,11 +267,17 @@ REFUSALS = [
        [*argv, "--seed", "-1"], None, "--seed must lie in [0, 2**64), got -1")
       for command, argv in [("train", TRAIN),
                             ("sample", ["sample", *INPUTS["sample"]])]],
-    *[(f"TestThresholdFromCheckpoint::test_no_threshold_config_key[{command}]",
-       [command], json.dumps({key: 0.5}),
-       f"unknown config key {key!r} for {command}")
-      for command in ("reconstruct", "eval")
-      for key in ("threshold", "binarize_threshold")],
+    # every command binarizes at one pixel cut: none takes a threshold, by
+    # its first name or the one that replaced it
+    *[row for command in ("train", "reconstruct", "eval")
+      for key in ("threshold", "binarize_threshold")
+      for flag in ["--" + key.replace("_", "-")] for row in [
+          (f"TestFixedThreshold::test_no_threshold_flag[{command}]",
+           [command, flag, "0.5"], None,
+           Usage(f"unrecognized arguments: {flag} 0.5")),
+          (f"TestFixedThreshold::test_no_threshold_config_key[{command}]",
+           [command], json.dumps({key: 0.5}),
+           f"unknown config key {key!r} for {command}")]],
 ]
 
 
@@ -366,10 +380,18 @@ def refuse(digits, narrow_digits, trained_run, tmp_path, capsys):
         if config is not None:
             places["conf"].write_text(config)
             argv += ["--config", str(places["conf"])]
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
         captured = capsys.readouterr()
-        assert (code, captured.err, captured.out) == (
-            1, f"error: {line.format(**places)}\n", "")
+        err = captured.err
+        if isinstance(line, Usage):
+            usage, _, err = err.rpartition("\nrbm: ")
+            assert (code, usage.startswith("usage: rbm ")) == (2, True)
+        else:
+            assert code == 1
+        assert (err, captured.out) == (f"error: {line.format(**places)}\n", "")
         assert not out.exists()
     return run
 
@@ -460,7 +482,7 @@ class TestTrain:
         first = tmp_path / "first"
         assert main(["train", "--data", str(synthetic_idx_dir), "--out",
                      str(first), "--seed", "3", "--subset", "1500",
-                     "--binarize-threshold", "0.4", *TRAIN_FLAGS]) == 0
+                     "--learning-rate", "0.002", *TRAIN_FLAGS]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
         conf = tmp_path / "replay.json"
         conf.write_text(json.dumps(manifest["config"]))
@@ -832,14 +854,23 @@ class TestSample:
                                      TrainConfig(n_hidden=3), echo))
         refuse(SAMPLE_TINY, None, f"{{tmp}}/ck.rbm: {reason}")
 
+    @pytest.mark.parametrize("key", sorted(REMOVED))
+    def test_removed_option_in_the_echo_rejected(self, tmp_path, refuse, key):
+        path = tiny_checkpoint(tmp_path / "ck.rbm")
+        config = TrainConfig(n_hidden=3)
+        path.write_bytes(with_config(path.read_bytes(), config,
+                                     {**config.__dict__, key: REMOVED[key]}))
+        refuse(SAMPLE_TINY, None,
+               f"{{tmp}}/ck.rbm: unknown checkpoint config key {key!r}")
+
     def test_flipped_byte_error_line(self, tmp_path, refuse):
         # magic, version, checksum, n_v, n_h, b, W, mu, sigma, the config
         # length and the config echo
         blob = tiny_checkpoint(tmp_path / "ck.rbm").read_bytes()
-        crc = "checksum mismatch: header holds c5a4313b"
+        crc = "checksum mismatch: header holds 1a262732"
         for at, reason in ((0, "bad checkpoint magic b'SBM0'"),
-                           (5, "unsupported checkpoint version 260"),
-                           (8, "checksum mismatch: header holds c5a4313a"),
+                           (5, "unsupported checkpoint version 261"),
+                           (8, "checksum mismatch: header holds 1a262733"),
                            (12, "config block size mismatch at offset 424"),
                            (17, "checkpoint truncated at offset 52"),
                            (20, crc), (60, crc), (170, crc), (300, crc),
@@ -877,7 +908,7 @@ class TestSample:
         missing = tmp_path / "missing.rbm"
         missing.write_bytes(with_config(
             blob, config, {k: v for k, v in config.__dict__.items()
-                           if k != "binarize_threshold"}))
+                           if k != "eval_batch"}))
         no_hidden = tmp_path / "no_hidden.rbm"
         save_checkpoint(replace(model, W=np.zeros((4, 0))), config, no_hidden)
         mismatch = tmp_path / "mismatch.rbm"
@@ -888,16 +919,19 @@ class TestSample:
         version_2.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
         version_3 = tmp_path / "version_3.rbm"
         version_3.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
+        version_4 = tmp_path / "version_4.rbm"
+        version_4.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
         for bad, reason in (
                 (truncated, "checkpoint truncated at offset 20"),
                 (unknown, "unknown checkpoint config key 'bogus'"),
-                (missing, "missing checkpoint config key 'binarize_threshold'"),
+                (missing, "missing checkpoint config key 'eval_batch'"),
                 (no_hidden, "empty layer (n_v 4, n_h 0) at offset 12"),
                 (mismatch, "checkpoint config key 'n_hidden' is 5, header n_h "
                            "is 3"),
                 (version_1, "unsupported checkpoint version 1"),
                 (version_2, "unsupported checkpoint version 2"),
-                (version_3, "unsupported checkpoint version 3")):
+                (version_3, "unsupported checkpoint version 3"),
+                (version_4, "unsupported checkpoint version 4")):
             refuse(["sample", "--checkpoint", f"{{tmp}}/{bad.name}"], None,
                    f"{{tmp}}/{bad.name}: {reason}")
 
@@ -981,60 +1015,7 @@ class TestOptions:
                      f"--{name.replace('_', '-')}", str(available)]) == 0
         assert default.read_bytes() == given.read_bytes()
 
-    @pytest.mark.parametrize("command,prefix,value", PREFIXES,
-                             ids=[f"{c}{p}" for c, p, _ in PREFIXES])
-    def test_flag_prefix_is_a_usage_error(
-            self, trained_run, synthetic_idx_dir, tmp_path, capsys, command,
-            prefix, value):
-        # each prefix names one flag alone, and is refused all the same
-        out = tmp_path / "out"
-        conf = tmp_path / "conf.json"
-        conf.write_text("{}")
-        inputs = {"checkpoint": trained_run / "checkpoint.rbm",
-                  "data": synthetic_idx_dir}
-        args = [command, "--out", str(out)]
-        for key in inputs.keys() & OPTIONS[command].keys():
-            args += [f"--{key}", str(inputs[key])]
-        if command == "train":
-            args += TRAIN_FLAGS
-        value = value or str(conf)
-        with pytest.raises(SystemExit) as exc:
-            main([*args, prefix, value])
-        captured = capsys.readouterr()
-        assert (exc.value.code, captured.out) == (2, "")
-        assert captured.err.startswith("usage: rbm ")
-        assert captured.err.endswith(
-            f"error: unrecognized arguments: {prefix} {value}\n")
-        assert not out.exists()
-
 
 @refusal_tests
-class TestThresholdFromCheckpoint:
-    def test_reconstruct_binarizes_at_checkpoint_threshold(self, tmp_path):
-        ck = tiny_checkpoint(tmp_path / "ck.rbm", binarize_threshold=0.9)
-        data = tmp_path / "img"
-        data.write_bytes(idx_image_bytes(np.full((10, 2, 2), 128)))
-        out = tmp_path / "rec.pgm"
-        assert main(["reconstruct", "--checkpoint", str(ck), "--data",
-                     str(data), "--out", str(out), "--count", "4"]) == 0
-        # 128/255 lies above 0.5 but not above 0.9: every original is -1
-        # (black), between the 1-px mid-gray padding
-        originals = read_pgm(out)[1:3]
-        assert np.unique(originals).tolist() == [0, 128]
-
-    @pytest.mark.parametrize("command", ["reconstruct", "eval"])
-    def test_no_threshold_flag(self, command):
-        for flag in ("--threshold", "--binarize-threshold"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--checkpoint", "ck", "--data", "d",
-                      flag, "0.5"])
-            assert exc.value.code == 2
-
-    def test_train_threshold_has_one_name(self, capsys, refuse):
-        # --binarize-threshold, with no --threshold alias
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--data", "d", "--threshold", "0.5"])
-        assert exc.value.code == 2
-        capsys.readouterr()  # argparse's usage text
-        refuse(["train"], '{"threshold": 0.5}',
-               "unknown config key 'threshold' for train")
+class TestFixedThreshold:
+    """No command takes a pixel threshold (see REFUSALS)."""

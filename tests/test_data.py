@@ -95,10 +95,6 @@ class TestBinarize:
         # 128/255 ~ 0.502 > 0.5 -> +1; 127/255 < 0.5 -> -1
         assert binarize(np.array([[[128, 127]]], dtype=np.uint8)).tolist() == [[1, -1]]
 
-    def test_threshold_flag(self):
-        spins = binarize(np.array([[[128]]], dtype=np.uint8), threshold=0.9)
-        assert spins.tolist() == [[-1]]
-
     def test_idempotent_roundtrip(self, rng):
         images = rng.integers(0, 256, (5, 3, 3)).astype(np.uint8)
         spins = binarize(images)
@@ -109,17 +105,12 @@ class TestBinarize:
         with pytest.raises(ValueError, match="spins: empty batch"):
             binarize(np.zeros((0, 28, 28), dtype=np.uint8))
 
-    def test_threshold_range(self):
-        with pytest.raises(ValueError):
-            binarize(np.zeros((1, 1, 1), dtype=np.uint8), threshold=1.0)
-
-    @pytest.mark.parametrize("threshold", [0.01, 0.25, 0.5, 127 / 255, 0.99])
-    def test_matches_reference_for_every_pixel_value(self, rng, threshold):
+    def test_matches_reference_for_every_pixel_value(self, rng):
         # more rows than one block, every pixel value 0..255 present
         images = rng.integers(0, 256, (2 * _ROWS + 3, 2, 128)).astype(np.uint8)
         images[0] = np.arange(256).reshape(2, 128)
-        ref = np.where(images.reshape(len(images), -1) / 255.0 > threshold, 1, -1)
-        spins = binarize(images, threshold)
+        ref = np.where(images.reshape(len(images), -1) / 255.0 > 0.5, 1, -1)
+        spins = binarize(images)
         assert spins.dtype == np.int8
         assert np.array_equal(spins, ref)
 
@@ -138,7 +129,7 @@ class TestBinarize:
     def test_rejects_other_dtypes(self, rng, dtype):
         images = rng.uniform(0, 255, (7, 5, 5)).astype(dtype)
         with pytest.raises(ValueError, match=f"uint8 pixels, got {dtype}$"):
-            binarize(images, 0.3)
+            binarize(images)
 
 
 class TestComputeStats:

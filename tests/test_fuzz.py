@@ -196,12 +196,10 @@ JSON_VALUES = st.recursive(
 TYPED_VALUES = {
     "epochs": st.integers(0, 1), "n_hidden": st.integers(1, 4),
     "batch_size": st.integers(1, 6), "eval_batch": st.integers(1, 6),
-    "eval_every": st.integers(1, 2), "k": st.integers(0, 2),
+    "k": st.integers(0, 2),
     "subset": st.integers(0, IDX_COUNT + 1),
     "seed": st.sampled_from([0, 7, 2**64 - 1, 2**64]),
     "learning_rate": st.floats(1e-4, 1.0) | st.floats(),
-    "init_std": st.floats(0.0, 1.0) | st.floats(),
-    "binarize_threshold": st.floats(0.01, 0.99) | st.floats(),
 }
 ALWAYS = ("epochs", "n_hidden", "batch_size")
 # a typed config with up to two keys of the train options set to any value
