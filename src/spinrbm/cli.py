@@ -273,7 +273,7 @@ def cmd_train(args):
             raise ValueError(f"{img_path}: {exc}") from None
         raise _flag_error(f"subset {args.subset}: {exc}") from None
     try:
-        holdout_size(len(spins), config)
+        holdout_rows = holdout_size(len(spins), config)
         model = init_model(stats, config)
     except ValueError as exc:
         raise _flag_error(str(exc)) from None
@@ -290,6 +290,8 @@ def cmd_train(args):
         "metrics_csv": str(csv_path),
         # the rows kept, where a preset's subset exceeds the data
         "subset": subset,
+        # the rows metrics.csv is scored on
+        "holdout_rows": holdout_rows,
         "recon_error_definition": RECON_ERROR_DEFINITION,
         "threads": _thread_setting(args.blas_threads),
         "numpy_version": np.__version__,
@@ -297,7 +299,7 @@ def cmd_train(args):
     atomic_write_bytes(out / "manifest.json",
                        (json.dumps(manifest, indent=2) + "\n").encode())
 
-    def on_epoch(record):
+    def on_epoch(record, _model):
         print(f"epoch {record.epoch:4d}  energy_coeff {record.energy_coefficient:.4f}"
               f"  recon_error {record.recon_error:.4f}  {record.wall_ms} ms")
 

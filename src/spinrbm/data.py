@@ -100,8 +100,9 @@ def binarize(images):
         images = np.asarray(images)
     except ValueError:  # numpy's "inhomogeneous shape" for a ragged list
         raise ValueError("images: entries of unequal shape") from None
-    if images.ndim == 0:
-        raise ValueError("images: expected an array of images, got a scalar")
+    if images.ndim < 2:  # a scalar, or a flattened image
+        raise ValueError("images: expected an array of images, "
+                         f"got shape {images.shape}")
     if images.dtype != np.uint8:
         raise ValueError(f"binarize takes uint8 pixels, got {images.dtype}")
     above = images.reshape(images.shape[0], math.prod(images.shape[1:])) >= 128

@@ -13,6 +13,8 @@ sample_phi needs the model's sigma to be a covariance (positive
 semidefinite), and raises when W^T Sigma W shows it is not.
 """
 
+import numbers
+
 import numpy as np
 
 from . import workers
@@ -50,10 +52,13 @@ def make_rng(seed, *stream):
     """Deterministic SFC64 Generator for a (seed, stream...) key.
 
     SeedSequence hashes the whole key, so distinct keys give independent
-    streams.  The seed must lie in [0, 2**64) and each stream tag must be a
-    non-negative int: any other is rejected, not wrapped.
+    streams.  The seed must be an integer (numpy's included, a bool never)
+    in [0, 2**64), and each stream tag a non-negative int: any other is
+    rejected, not wrapped or truncated.
     """
-    if not 0 <= int(seed) < 1 << 64:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(seed, spawn_key=stream)))

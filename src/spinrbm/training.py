@@ -232,7 +232,8 @@ def train(spins, model, config, on_epoch=None):
     halves (spinrbm.workers).
     Metrics are logged at every epoch on a held-out fold of a tenth of the
     rows, at least one and at most eval_batch, never trained on.
-    ``on_epoch(record)`` is invoked at each epoch.
+    ``on_epoch(record, model)`` is invoked at each epoch with its metrics
+    and the model they score.
     """
     spins = check_spins(spins, name="spins")
     if model.W.shape != (spins.shape[1], config.n_hidden):
@@ -272,7 +273,7 @@ def train(spins, model, config, on_epoch=None):
                 f"epoch {epoch}: non-finite metric", model, metrics)
         metrics.append(record)
         if on_epoch is not None:
-            on_epoch(record)
+            on_epoch(record, model)
 
     return model, metrics
 

@@ -419,10 +419,13 @@ class TestTrain:
         # the seed lives in the config echo alone
         manifest = json.loads((trained_run / "manifest.json").read_text())
         assert set(manifest) == {"command", "config", "data", "checkpoint",
-                                 "metrics_csv", "subset",
+                                 "metrics_csv", "subset", "holdout_rows",
                                  "recon_error_definition", "threads",
                                  "numpy_version"}
         assert manifest["config"]["seed"] == 5
+        # metrics.csv is scored on a tenth of the 2000 rows, capped at
+        # --eval-batch 128
+        assert manifest["holdout_rows"] == 128
 
     def test_manifest_records_thread_setting(self, trained_run):
         manifest = json.loads((trained_run / "manifest.json").read_text())
@@ -478,19 +481,27 @@ class TestTrain:
                (outs[1] / "checkpoint.rbm").read_bytes()
 
     def test_run_replays_from_its_manifest(self, synthetic_idx_dir, tmp_path):
-        # the manifest's config, data and subset train the same run again
-        first = tmp_path / "first"
-        assert main(["train", "--data", str(synthetic_idx_dir), "--out",
-                     str(first), "--seed", "3", "--subset", "1500",
-                     "--learning-rate", "0.002", *TRAIN_FLAGS]) == 0
-        manifest = json.loads((first / "manifest.json").read_text())
-        conf = tmp_path / "replay.json"
-        conf.write_text(json.dumps(manifest["config"]))
-        again = tmp_path / "again"
-        assert main(["train", "--config", str(conf), "--data",
-                     manifest["data"], "--subset", str(manifest["subset"]),
-                     "--out", str(again)]) == 0
-        assert run_outputs(again) == run_outputs(first)
+        # the manifest's config, data and subset train the same run again,
+        # at the default CD-0 and at CD-1 from the data
+        for k in (0, 1):
+            first = tmp_path / f"first-k{k}"
+            assert main(["train", "--data", str(synthetic_idx_dir), "--out",
+                         str(first), "--seed", "3", "--subset", "1500",
+                         "--learning-rate", "0.002", *TRAIN_FLAGS,
+                         "--k", str(k)]) == 0
+            manifest = json.loads((first / "manifest.json").read_text())
+            assert manifest["config"]["k"] == k
+            conf = tmp_path / f"replay-k{k}.json"
+            conf.write_text(json.dumps(manifest["config"]))
+            again = tmp_path / f"again-k{k}"
+            assert main(["train", "--config", str(conf), "--data",
+                         manifest["data"], "--subset", str(manifest["subset"]),
+                         "--out", str(again)]) == 0
+            assert run_outputs(again) == run_outputs(first)
+        # and rbm eval reads the CD-1 checkpoint as any other
+        assert main(["eval", "--checkpoint", str(first / "checkpoint.rbm"),
+                     "--data", str(synthetic_idx_dir), "--out",
+                     str(tmp_path / "eval-k1.csv"), "--batch-size", "128"]) == 0
 
     def test_preset_subset_caps_the_rows(self, synthetic_idx_dir, tmp_path):
         # desk's subset of 10000 keeps the 2000 rows there are, and the

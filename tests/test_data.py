@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -121,8 +122,11 @@ class TestBinarize:
             with pytest.raises(ValueError,
                                match="^images: entries of unequal shape$"):
                 binarize(ragged)
-        with pytest.raises(ValueError, match="^images: expected an array"):
-            binarize(np.uint8(200))
+        # a scalar, and a flattened image, which would read as one-pixel rows
+        for flat in (np.uint8(200), np.array([200, 10, 128], np.uint8)):
+            line = f"images: expected an array of images, got shape {flat.shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                binarize(flat)
         assert np.array_equal(binarize(pair[0]), binarize(list(pair[0])))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64", "int64"])

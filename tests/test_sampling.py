@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 import warnings
 from dataclasses import replace
 
@@ -373,12 +374,20 @@ def test_make_rng_distinct_keys_give_distinct_streams(key_a, key_b):
 
 
 def test_make_rng_rejects_seed_outside_64_bits():
-    for seed in (-1, 2 ** 64, 2 ** 64 + 5):
+    for seed in (-1, 2 ** 64, 2 ** 64 + 5, np.int64(-1)):
         with pytest.raises(ValueError, match="seed must lie in"):
             make_rng(seed)
+    # a seed is an integer: a bool or a float, even a whole one, is refused
+    # rather than truncated
+    for seed in (True, -0.5, 1.5, 2.0, np.float64(3), "4", None):
+        line = f"seed must be an int, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+            make_rng(seed)
     top = 2 ** 64 - 1
-    assert make_rng(top).random() == \
-        np.random.Generator(np.random.SFC64(np.random.SeedSequence(top))).random()
+    for seed in (top, np.uint64(top)):
+        assert make_rng(seed).random() == np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(top))).random()
+    assert make_rng(np.int8(5), 1).random() == make_rng(5, 1).random()
 
 
 def test_stream_tags_of_the_package_are_distinct():

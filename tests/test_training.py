@@ -207,6 +207,19 @@ class TestTrain:
         assert default.W.tobytes() == weights[0]
         assert len(set(weights)) == 3
 
+    def test_on_epoch_receives_each_record_and_its_model(self):
+        # the model handed over at the last epoch is the one train returns
+        seen = []
+        ds = pattern_spins()
+        config = small_config(epochs=3)
+        model, metrics = train(ds, init_model(compute_stats(ds), config),
+                               config, on_epoch=lambda *args: seen.append(args))
+        assert [record for record, _ in seen] == metrics
+        assert len({m.W.tobytes() for _, m in seen}) == 3
+        last = seen[-1][1]
+        assert (last.W.tobytes(), last.b.tobytes(), last.stats) == (
+            model.W.tobytes(), model.b.tobytes(), model.stats)
+
     def test_batch_larger_than_training_split_rejected(self):
         # 80 rows less an 8-row held-out fold leave 72 for training
         ds = pattern_spins()
