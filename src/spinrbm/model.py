@@ -16,9 +16,9 @@ import numpy as np
 
 from .workers import split_rows
 
-# the exact oracles' bound on n_v + n_h: their table of the 2^n_v visible
-# states holds at most 2^23 rows (n_h >= 1) of n_v + n_h float64 entries
-ENUMERATION_LIMIT = 24
+# the exact oracles' bound on their table of the 2^n_h hidden states, each a
+# row of n_h spins and n_v entries of tanh(f): at most 2^24 entries in all
+ENUMERATION_LIMIT = 1 << 24
 
 _F32_MAX = float(np.finfo(np.float32).max)
 
@@ -82,8 +82,8 @@ def check_float32_range(arr, name):
 
 
 def check_spins(arr, n_units=None, name="batch"):
-    """Validate a non-empty matrix of +/-1 rows and return it as an int8
-    array (copies only if needed)."""
+    """Validate a non-empty matrix of +/-1 rows, of an integer or real
+    float dtype, and return it as an int8 array (copies only if needed)."""
     try:
         arr = np.asarray(arr)
     except ValueError:  # numpy's "inhomogeneous shape" for a ragged list
@@ -95,7 +95,7 @@ def check_spins(arr, n_units=None, name="batch"):
         raise ValueError(f"{name}: empty batch, shape {arr.shape}")
     if n_units is not None and arr.shape[1] != n_units:
         raise ValueError(f"{name}: expected {n_units} units, got shape {arr.shape}")
-    if not np.all(np.abs(arr) == 1):
+    if arr.dtype.kind not in "iuf" or not np.all(np.abs(arr) == 1):
         raise ValueError(f"{name}: entries must be exactly -1 or +1")
     return arr.astype(np.int8, copy=False)
 
@@ -116,38 +116,36 @@ def _all_spin_states(n):
     return (2 * states - 1).astype(np.int8)
 
 
-def _exact_visible_table(model):
-    """All 2^n_v visible states (as _all_spin_states) and their exact log p(v).
+def _exact_hidden_table(model):
+    """All 2^n_h hidden states H (as _all_spin_states), tanh(f) with
+    f = b + W h for each, their exact p(h), and log Z.
 
-    The hidden spins sum out in closed form:
-    log sum_h exp(-U(v, h)) = b.(v - mu) + sum_i log 2cosh(phi_i), with
-    phi = W^T (v - mu); log Z is the log-sum-exp of that over all v.
+    The visible spins sum out in closed form:
+    log sum_v exp(-U(v, h)) = -mu.f + sum_j log 2cosh(f_j); log Z is the
+    log-sum-exp of that over all h.
     """
-    total = model.n_v + model.n_h
-    if total > ENUMERATION_LIMIT:
+    n_v, n_h = model.W.shape
+    if (n_v + n_h) << n_h > ENUMERATION_LIMIT:
         raise ValueError(
-            f"enumeration refused: n_v + n_h = {total} exceeds "
-            f"limit {ENUMERATION_LIMIT}")
-    V = _all_spin_states(model.n_v)
-    vc = V - model.mu
-    phi = vc @ model.W
-    log_num = vc @ model.b + np.logaddexp(phi, -phi).sum(axis=1)
-    m = log_num.max()
-    return V, log_num - (m + np.log(np.exp(log_num - m).sum()))
+            f"enumeration refused: 2^{n_h} hidden states of {n_v + n_h} "
+            f"entries each exceed the limit of {ENUMERATION_LIMIT} entries")
+    H = _all_spin_states(n_h)
+    f = H @ model.W.T + model.b
+    log_w = np.logaddexp(f, -f).sum(axis=1) - f @ model.mu
+    m = log_w.max()
+    log_z = m + np.log(np.exp(log_w - m).sum())
+    return H, np.tanh(f, out=f), np.exp(log_w - log_z), log_z
 
 
 def exact_nll(model, dataset):
     """Average negative log-likelihood -<log p(v)> over the dataset rows,
-    exact, from the 2^n_v visible states (_exact_visible_table)."""
+    exact: log p(v) = b.(v - mu) + sum_i log 2cosh(phi_i) - log Z, with
+    phi = W^T (v - mu) and log Z from the hidden states (_exact_hidden_table)."""
     dataset = check_spins(dataset, model.n_v, "dataset")
-    _, log_p = _exact_visible_table(model)
-    index = (dataset > 0) @ (1 << np.arange(model.n_v))
-    return float(-log_p[index].mean())
-
-
-def exact_visible_marginal(model):
-    """Exact p(v) over all 2^n_v visible states, indexed like _all_spin_states."""
-    return np.exp(_exact_visible_table(model)[1])
+    log_z = _exact_hidden_table(model)[3]
+    vc = dataset - model.mu
+    phi = vc @ model.W
+    return float(log_z - (vc @ model.b + np.logaddexp(phi, -phi).sum(axis=1)).mean())
 
 
 def _moments(model, rows, weights):
@@ -167,17 +165,6 @@ def _moments(model, rows, weights):
     return GradientPair(d_b=d_b, d_W=vc.T @ t)
 
 
-def _add_moments(model, grads, rows, weights):
-    """grads plus the moments of rows, its two row halves on the two
-    workers, added in a fixed order."""
-    for part in split_rows(
-            lambda lo, hi: _moments(model, rows[lo:hi], weights[lo:hi]),
-            rows.shape[0]):
-        grads = GradientPair(d_b=grads.d_b + part.d_b,
-                             d_W=grads.d_W + part.d_W)
-    return grads
-
-
 def data_phase(model, data_batch):
     """The data part of the NLL gradient: minus the data-phase average."""
     data_batch = check_spins(data_batch, model.n_v, "data_batch")
@@ -187,16 +174,28 @@ def data_phase(model, data_batch):
 
 def add_model_phase(model, data_part, model_batch):
     """The stochastic NLL gradient from its data part (data_phase): plus the
-    model-phase average, each model row weighing 1/n_m.  The returned
-    direction ascends the NLL; the optimizer subtracts it."""
+    model-phase average, each model row weighing 1/n_m, its two row halves
+    on the two workers, added in a fixed order.  The returned direction
+    ascends the NLL; the optimizer subtracts it."""
     model_batch = check_spins(model_batch, model.n_v, "model_batch")
     n_m = model_batch.shape[0]
-    return _add_moments(model, data_part, model_batch, np.full(n_m, 1.0 / n_m))
+    weights = np.full(n_m, 1.0 / n_m)
+    grads = data_part
+    for part in split_rows(
+            lambda lo, hi: _moments(model, model_batch[lo:hi], weights[lo:hi]),
+            n_m):
+        grads = GradientPair(d_b=grads.d_b + part.d_b,
+                             d_W=grads.d_W + part.d_W)
+    return grads
 
 
 def exact_nll_gradient(model, data_batch):
-    """NLL gradient with the model phase exact: the moments of all 2^n_v
-    visible states weighted by p(v) (_exact_visible_table)."""
+    """NLL gradient with the model phase exact over the hidden states
+    (_exact_hidden_table): E[v] = sum_h p(h) tanh(f) and
+    E[(v - mu) h^T] = sum_h p(h) (tanh(f) - mu) h^T."""
     data_part = data_phase(model, data_batch)
-    V, log_p = _exact_visible_table(model)
-    return _add_moments(model, data_part, V, np.exp(log_p))
+    H, t, p, _ = _exact_hidden_table(model)
+    d_b = p @ t
+    t -= model.mu
+    return GradientPair(d_b=data_part.d_b + d_b,
+                        d_W=data_part.d_W + t.T @ (p[:, None] * H))

@@ -14,13 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (idx_image_bytes, random_sigma, random_spins, stats_at,
-                      synthetic_digits)
+from conftest import (brute_visible_probs, idx_image_bytes, random_sigma,
+                      random_spins, stats_at, synthetic_digits)
 from spinrbm.cli import _one_blas_thread, main
 from spinrbm.data import DataStats, binarize, compute_stats, load_idx
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error
-from spinrbm.model import (RbmModel, exact_nll, exact_nll_gradient,
-                           exact_visible_marginal)
+from spinrbm.model import RbmModel, exact_nll, exact_nll_gradient
 from spinrbm.sampling import gibbs_steps, make_rng, sample_phi
 from spinrbm.training import (TrainConfig, init_model, load_checkpoint,
                               save_checkpoint, train)
@@ -73,7 +72,9 @@ def test_criterion_2_gibbs_stationarity():
     gen = np.random.default_rng(2)
     model = RbmModel(W=gen.normal(0, 0.5, (5, 3)), b=gen.normal(0, 0.5, 5),
                      stats=stats_at(np.zeros(5)))
-    exact = exact_visible_marginal(model)
+    exact = np.zeros(32)
+    for key, p in brute_visible_probs(model).items():
+        exact[sum(1 << j for j, s in enumerate(key) if s == 1)] = p
     chains = 1000
     rng = make_rng(20)
     v = random_spins(gen, (chains, 5))
@@ -231,3 +232,36 @@ def test_criterion_8_checkpoint_roundtrip(tmp_path):
                and stats.sigma.tobytes() == m2.stats.sigma.tobytes()
                and c2 == config)
     report(8, ok, "10 random checkpoints round-trip bitwise identical")
+
+
+def test_criterion_9_cd0_raises_the_likelihood():
+    """The paper's claim at one width, judged by the exact held-out NLL:
+    train() at k = 0 learns 14 x 14 synthetic digits with 12 hidden units,
+    and ends below train() at k = 1.  Not a claim about every width: on 16
+    and 49 visibles CD-10 from data ends below CD-0 (see the README)."""
+    t0 = time.perf_counter()
+    images, _ = synthetic_digits(np.random.default_rng(77), 3000, side=14)
+    spins = binarize(images)
+    train_rows, held_out = spins[:2500], spins[2500:]
+    stats = compute_stats(train_rows)
+    lines, ok = [], True
+    with _one_blas_thread():
+        for seed in (1, 2, 3):
+            final = {}
+            for k in (0, 1):
+                config = TrainConfig(n_hidden=12, epochs=30, batch_size=100,
+                                     learning_rate=1e-3, seed=seed, k=k)
+                start = init_model(stats, config)
+                model, _ = train(train_rows, start, config)
+                final[k] = exact_nll(model, held_out)
+            initial = exact_nll(start, held_out)
+            # measured: CD-0 ends at 0.49-0.51 of the initial NLL, CD-1 at
+            # 0.83-0.89
+            ok &= final[0] < 0.55 * initial and final[0] < final[1]
+            lines.append(f"seed {seed}: {initial:.1f} -> CD-0 {final[0]:.1f}, "
+                         f"CD-1 {final[1]:.1f}")
+    elapsed = time.perf_counter() - t0
+    report(9, ok and elapsed < 60.0,
+           f"exact held-out NLL in nats ({'; '.join(lines)}); CD-0 below "
+           f"0.55 of the initial NLL and below CD-1 at every seed, "
+           f"{elapsed:.1f}s (limit 60s)")

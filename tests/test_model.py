@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ from conftest import (brute_hidden_mean, brute_nll, brute_visible_probs,
 from spinrbm.data import compute_stats
 from spinrbm.metrics import energy_coefficient, eval_curve, recon_error, reconstruct
 from spinrbm.model import (RbmModel, add_model_phase, data_phase, exact_nll,
-                           exact_nll_gradient, exact_visible_marginal)
+                           exact_nll_gradient)
 from spinrbm.sampling import gibbs_steps, make_rng, sample_hidden, sample_visible
 from spinrbm.training import TrainConfig, train
 
@@ -91,22 +93,77 @@ class TestExactNll:
         assert exact_nll(m, data) == pytest.approx(exact_nll(flipped, data))
 
     def test_size_guard(self):
-        m = RbmModel(W=np.zeros((20, 5)), b=np.zeros(20), stats=stats_at(np.zeros(20)))
-        with pytest.raises(ValueError, match="enumeration refused"):
-            exact_nll(m, np.ones((1, 20), dtype=np.int8))
+        # the table of the 2^n_h hidden states holds at most 2^24 entries,
+        # n_v + n_h a row: 784 x 14 fits, 784 x 15 and 4 x 20 do not, and
+        # each is refused before its table is allocated
+        for n_v, n_h in ((784, 15), (4, 20)):
+            m = RbmModel(W=np.zeros((n_v, n_h)), b=np.zeros(n_v),
+                         stats=stats_at(np.zeros(n_v)))
+            data = np.ones((1, n_v), dtype=np.int8)
+            for oracle in (exact_nll, exact_nll_gradient):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match="enumeration refused"):
+                        oracle(m, data)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1 << 20
+
+
+def free_energy_term(m, v):
+    """log sum_h exp(-U(v, h)) of each row of v: the hidden layer summed
+    out, b.(v - mu) + sum_i log 2cosh(phi_i) with phi = W^T (v - mu)."""
+    vc = v - m.mu
+    phi = vc @ m.W
+    return vc @ m.b + np.logaddexp(phi, -phi).sum(axis=1)
+
+
+class TestOraclesPastTwentyFourUnits:
+    """The oracles enumerate the hidden layer alone, so a model of more than
+    24 units is scored exactly as long as n_h is small."""
+
+    def test_nll_against_all_visible_states(self, rng):
+        m = random_model(rng, 16, 12, scale=0.3, centered=False)
+        data = random_spins(rng, (20, 16))
+        log_w = free_energy_term(
+            m, np.array(list(itertools.product((-1, 1), repeat=16))))
+        top = log_w.max()
+        log_z = top + np.log(np.exp(log_w - top).sum())
+        expected = log_z - free_energy_term(m, data).mean()
+        assert exact_nll(m, data) == pytest.approx(expected, rel=1e-12)
+
+    def test_log_z_of_the_transpose(self, rng):
+        # at b = 0 and mu = 0, U = -v.W.h is the energy of W^T with the
+        # layers swapped, so Z(W) = Z(W^T); the first table holds the 12
+        # hidden states of W, the second the 16 visible ones
+        def log_z(W):
+            n_v = W.shape[0]
+            m = RbmModel(W=W, b=np.zeros(n_v), stats=stats_at(np.zeros(n_v)))
+            v = random_spins(rng, (5, n_v))
+            return exact_nll(m, v) + free_energy_term(m, v).mean()
+
+        W = rng.normal(0, 0.3, (16, 12))
+        assert log_z(W) == pytest.approx(log_z(W.T), rel=1e-12)
+
+    def test_independent_units_at_the_paper_width(self, rng):
+        # W = 0: the 784 visibles are independent, p(v_j) ~ exp(b_j v_j)
+        n_v = 784
+        mu = rng.uniform(-0.9, 0.9, n_v)
+        m = RbmModel(W=np.zeros((n_v, 12)), b=rng.normal(0, 0.5, n_v),
+                     stats=stats_at(mu))
+        data = random_spins(rng, (30, n_v))
+        nll = np.logaddexp(m.b, -m.b).sum() - (data @ m.b).mean()
+        assert exact_nll(m, data) == pytest.approx(nll, rel=1e-12)
+        g = exact_nll_gradient(m, data)
+        assert np.abs(g.d_b - (np.tanh(m.b) - data.mean(axis=0))).max() < 1e-12
+        assert np.abs(g.d_W).max() < 1e-12
 
 
 # shapes with n_h < n_v and with n_h > n_v, centered and not
 _ORACLE_CASES = [pytest.param(n_v, n_h, centered, id=f"{n_v}x{n_h}-{tag}")
                  for n_v, n_h in ((5, 3), (4, 1), (3, 5), (2, 6))
                  for centered, tag in ((True, "centered"), (False, "mu"))]
-
-
-def _states(n_v):
-    """Visible states in the bit order of exact_visible_marginal: bit j of
-    the index is set where v_j = +1."""
-    return [tuple(1 if i >> j & 1 else -1 for j in range(n_v))
-            for i in range(1 << n_v)]
 
 
 @pytest.mark.parametrize("n_v, n_h, centered", _ORACLE_CASES)
@@ -122,12 +179,6 @@ class TestOraclesMatchBruteForce:
     def test_nll(self, n_v, n_h, centered):
         m, data = self.case(n_v, n_h, centered)
         assert exact_nll(m, data) == pytest.approx(brute_nll(m, data), rel=1e-12)
-
-    def test_visible_marginal(self, n_v, n_h, centered):
-        m, _ = self.case(n_v, n_h, centered)
-        probs = brute_visible_probs(m)
-        expected = [probs[v] for v in _states(n_v)]
-        assert np.abs(exact_visible_marginal(m) - expected).max() < 1e-12
 
     def test_gradient(self, n_v, n_h, centered):
         m, data = self.case(n_v, n_h, centered)
@@ -268,6 +319,12 @@ def test_spin_arguments_rejected_at_the_boundary(arg, width, call):
     zero[1, 0] = 0
     with pytest.raises(ValueError, match=f"^{arg}: entries must be exactly -1 or \\+1"):
         call(zero)
+    # bool, complex and text arrays hold no spins, also where each entry
+    # compares equal to +1 or -1
+    for x in (np.ones((2, n), dtype=bool), np.ones((2, n), dtype=complex),
+              np.full((2, n), "1")):
+        with pytest.raises(ValueError, match=f"^{arg}: entries must be exactly -1 or \\+1"):
+            call(x)
     with pytest.raises(ValueError, match=f"^{arg}: rows of unequal width"):
         call([[1, -1, 1], [1, -1]])
     if width:
